@@ -84,7 +84,7 @@ fn print_help() {
     println!("           [--no-packing] [--depth D] [--profile v1|v2] [--sync-every N]");
     println!("                                         pack a text trace into .ptw frames");
     println!("                                         (v2 = compressed dialect)");
-    println!("  trace    decode FILE [--out OUT.txt] [--threads N|auto|off]");
+    println!("  trace    decode FILE [--out OUT.txt]");
     println!("                                         decode a .ptw stream back to text");
     println!("                                         (the dialect is auto-detected)");
     println!("  serve    [--addr HOST:PORT] [--shards N] [--sessions N]");
@@ -697,18 +697,13 @@ fn cmd_trace_encode(argv: &[String]) -> CmdResult {
 /// Decodes a `.ptw` stream back into the text trace format, reporting
 /// damaged frames and the measured buffer utilization.
 fn cmd_trace_decode(argv: &[String]) -> CmdResult {
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &["profile"],
-        &["out", "threads", "profile-json"],
-    )?;
+    let args = Args::parse(argv.iter().cloned(), &["profile"], &["out", "profile-json"])?;
     let profiler = Profiler::from_args(&args);
     let input = args
         .positional()
         .first()
         .ok_or("trace decode needs an input .ptw file")?;
     let model = SocModel::t2();
-    let parallelism = parse_parallelism(&args)?;
     let bytes = std::fs::read(input)?;
     let parsed = maybe_time(obs(&profiler), "read-ptw", || {
         wirecap::read_ptw_any(model.catalog(), &bytes)
@@ -727,7 +722,7 @@ fn cmd_trace_decode(argv: &[String]) -> CmdResult {
             };
             wirecap::decode_capture_with(&schema, &stream.bytes, Some(stream.bit_len), &profile)
         } else {
-            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), parallelism)
+            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len))
         }
     });
     println!(
@@ -819,7 +814,6 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
         &[
             "addr",
             "shards",
-            "threads",
             "sessions",
             "max-sessions",
             "tenant-quota",
@@ -830,11 +824,7 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
             "wal-budget",
         ],
     )?;
-    // `--threads` is the pre-fleet spelling of `--shards`; still honored.
-    let shards = match args.option_opt::<usize>("shards")? {
-        Some(n) => n,
-        None => args.option_or("threads", 2usize)?,
-    };
+    let shards = args.option_or("shards", 2usize)?;
     // `--flight-dump PATH` names the spill file; bare `--flight-recorder`
     // takes the conventional name. The in-memory journal itself is
     // always on — these only decide whether (and where) it spills.
@@ -1058,18 +1048,14 @@ fn cmd_stream(argv: &[String]) -> CmdResult {
     // server's acked byte offset. Without it, the plain one-shot client.
     let replay = |addr: std::net::SocketAddr| match retries {
         Some(n) => {
-            let policy = pstrace_stream::RetryPolicy {
-                max_reconnects: n,
-                ..pstrace_stream::RetryPolicy::default()
-            };
-            pstrace_stream::stream_ptw_with(
-                addr,
+            let mut options = pstrace_stream::StreamOptions::new(scenario, mode);
+            options.chunk_bytes = chunk;
+            options.retry.max_reconnects = n;
+            pstrace_stream::stream_ptw_resumable(
+                |_| pstrace_stream::connect_tcp(addr, &options.retry),
                 model.catalog(),
-                scenario,
-                mode,
                 &ptw,
-                chunk,
-                &policy,
+                &options,
             )
         }
         None => pstrace_stream::stream_ptw(addr, model.catalog(), scenario, mode, &ptw, chunk),
@@ -1155,7 +1141,6 @@ fn cmd_chaos(argv: &[String]) -> CmdResult {
             "records",
             "chunk",
             "shards",
-            "threads",
             "concurrency",
             "flight-dump",
         ],
@@ -1170,11 +1155,7 @@ fn cmd_chaos(argv: &[String]) -> CmdResult {
     config.sessions = args.option_or("sessions", config.sessions)?;
     config.records = args.option_or("records", config.records)?;
     config.chunk_bytes = args.option_or("chunk", config.chunk_bytes)?;
-    // `--threads` is the pre-fleet spelling of `--shards`; still honored.
-    config.shards = match args.option_opt::<usize>("shards")? {
-        Some(n) => n,
-        None => args.option_or("threads", config.shards)?,
-    };
+    config.shards = args.option_or("shards", config.shards)?;
     config.concurrency = args.option_or("concurrency", config.concurrency)?;
     config.flight_dump = args.option("flight-dump").map(std::path::PathBuf::from);
 
@@ -1559,6 +1540,13 @@ mod tests {
             assert!(dispatch(&a).is_ok(), "--threads {t}");
         }
         assert!(dispatch(&argv(&["select", "--threads", "many"])).is_err());
+        // Only selection takes a thread count; the daemon-side commands
+        // size themselves with --shards.
+        for cmd in [&["serve"][..], &["chaos"], &["trace", "decode", "x.ptw"]] {
+            let mut a = cmd.to_vec();
+            a.extend(["--threads", "2"]);
+            assert!(dispatch(&argv(&a)).is_err(), "{cmd:?} --threads");
+        }
     }
 
     #[test]
@@ -1675,16 +1663,7 @@ mod tests {
             "1"
         ]))
         .is_ok());
-        assert!(dispatch(&argv(&[
-            "trace",
-            "decode",
-            &ptw_s,
-            "--out",
-            &back_s,
-            "--threads",
-            "2"
-        ]))
-        .is_ok());
+        assert!(dispatch(&argv(&["trace", "decode", &ptw_s, "--out", &back_s])).is_ok());
 
         // The decoded records are exactly the input records the selection
         // keeps (modulo subgroup truncation), so decoding is idempotent:

@@ -396,8 +396,9 @@ pub fn encode_v2(
 /// [`DecodeReport`] at the end. Complete sync blocks decode as soon as
 /// their last byte lands; damage hunting spans chunk boundaries.
 ///
-/// This is the v2 counterpart of the v1 `StreamDecoder`, owning its
-/// schema so live sessions can hold one without borrowing.
+/// A live v2 session holds one, owning its schema so no borrow ties it
+/// to the handshake. The v1 session needs no such decoder: it calls
+/// `pstrace_wire::decode_frame_range` on each chunk's complete frames.
 #[derive(Debug)]
 pub struct V2StreamDecoder {
     schema: WireSchema,

@@ -7,8 +7,6 @@
 //! is the consistent fraction of all root-to-stop paths — the smaller, the
 //! less the debugger has to explore.
 
-use std::collections::HashMap;
-
 use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
 
 /// How observed traces are matched against path projections.
@@ -301,10 +299,6 @@ impl LocalizationStats {
         self.fractions.is_empty()
     }
 }
-
-/// Mapping from observation histograms to per-message state; kept private.
-#[allow(dead_code)]
-type ObservationKey = HashMap<IndexedMessage, u32>;
 
 #[cfg(test)]
 mod tests {

@@ -8,9 +8,7 @@
 //! computed from that captured trace.
 
 use pstrace_bug::{bug_catalog, detect_symptom, BugInterceptor, CaseStudy, Symptom};
-use pstrace_core::{
-    Parallelism, SelectError, SelectionConfig, SelectionReport, Selector, TraceBufferSpec,
-};
+use pstrace_core::{SelectError, SelectionConfig, SelectionReport, Selector, TraceBufferSpec};
 use pstrace_obs::{maybe_time, Registry};
 use pstrace_soc::{
     capture, wirecap, CapturedTrace, SimConfig, SimOutcome, Simulator, SocModel, TraceBufferConfig,
@@ -300,12 +298,8 @@ pub fn run_case_study_routed(
                 wirecap::encode_events(model.catalog(), &schema, &events.events, &trace_config)
                     .expect("simulated records fit the schema's field widths");
             let frames = stream.frames;
-            let (trace, report) = wirecap::decode_capture(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                Parallelism::Off,
-            );
+            let (trace, report) =
+                wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len));
             (trace, frames, report.is_clean(), report.utilization())
         };
         let (golden_trace, golden_frames, golden_clean, utilization) = trip(&golden);

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use pstrace_diag::MatchMode;
 use pstrace_stream::{
-    next_trace_id, request_shutdown, stream_ptw, stream_ptw_resumable_traced, RetryPolicy,
+    connect_tcp, request_shutdown, stream_ptw, stream_ptw_resumable, RetryPolicy, StreamOptions,
 };
 
 use crate::ledger::FaultLedger;
@@ -446,25 +446,21 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Result<CrashSoakReport, Strin
                 if s >= config.sessions {
                     break;
                 }
-                let session = s as u64;
-                let trace = next_trace_id();
+                let options = StreamOptions {
+                    tenant: (s as u64 % TENANT_CYCLE) as u32,
+                    chunk_bytes,
+                    retry: policy,
+                    ..StreamOptions::new(1, MatchMode::Prefix)
+                };
                 let register = Arc::clone(&register);
-                let result = stream_ptw_resumable_traced(
-                    move |_attempt| -> io::Result<TcpStream> {
+                let result = stream_ptw_resumable(
+                    move |_attempt| {
                         let addr = *register.lock().expect("address register poisoned");
-                        let stream = TcpStream::connect_timeout(&addr, policy.connect_timeout)?;
-                        stream.set_nodelay(true).ok();
-                        stream.set_read_timeout(Some(policy.read_timeout)).ok();
-                        Ok(stream)
+                        connect_tcp(addr, &policy)
                     },
                     fixture.model.catalog(),
-                    1,
-                    MatchMode::Prefix,
-                    (session % TENANT_CYCLE) as u32,
-                    trace,
                     &fixture.clean_ptw,
-                    chunk_bytes,
-                    &policy,
+                    &options,
                 );
                 let _ = slots[s].set(result.ok());
             });

@@ -24,9 +24,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io;
 use std::mem;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -38,8 +37,8 @@ use pstrace_flow::{FlowIndex, IndexedMessage};
 use pstrace_obs::{FlightHandle, FlightRecorder, FlightSnapshot, Registry, Sample};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::{
-    next_trace_id, observed_messages, stream_ptw, stream_ptw_resumable_traced, RetryPolicy, Server,
-    ServerConfig, StatsSnapshot,
+    connect_tcp, next_trace_id, observed_messages, stream_ptw, stream_ptw_resumable, RetryPolicy,
+    Server, ServerConfig, StatsSnapshot, StreamOptions,
 };
 use pstrace_wire::{decode_stream, encode_records, write_ptw, EncodedStream, WireRecord};
 
@@ -330,13 +329,17 @@ fn run_one_session(
     let transport_ledger = Arc::new(Mutex::new(FaultLedger::new()));
     let connector_ledger = Arc::clone(&transport_ledger);
     let transport_faults = plan.transport;
-    let result = stream_ptw_resumable_traced(
-        move |attempt| -> io::Result<ChaosStream<TcpStream>> {
-            let stream = TcpStream::connect_timeout(&addr, policy.connect_timeout)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(policy.read_timeout)).ok();
+    let options = StreamOptions {
+        tenant: (session % TENANT_CYCLE) as u32,
+        trace: Some(trace),
+        chunk_bytes,
+        retry: policy,
+        ..StreamOptions::new(1, MatchMode::Prefix)
+    };
+    let result = stream_ptw_resumable(
+        move |attempt| {
             Ok(ChaosStream::with_ledger(
-                stream,
+                connect_tcp(addr, &policy)?,
                 transport_faults,
                 srng.fork(0x7a_0000 + u64::from(attempt)),
                 session,
@@ -345,13 +348,8 @@ fn run_one_session(
             .with_flight(fault_handle.clone()))
         },
         fixture.model.catalog(),
-        1,
-        MatchMode::Prefix,
-        (session % TENANT_CYCLE) as u32,
-        trace,
         &ptw,
-        chunk_bytes,
-        &policy,
+        &options,
     );
 
     let transport = mem::take(

@@ -11,14 +11,12 @@
 //! circular truncation to the newest `depth` records.
 
 use pstrace_flow::MessageCatalog;
-use pstrace_wire::decode_stream_chunked;
+use pstrace_wire::decode_stream;
 pub use pstrace_wire::{
     read_ptw, read_ptw_any, write_ptw, write_ptw_with, DamageReason, DamagedFrame, DecodeReport,
-    EncodedStream, Encoder, FrameProfile, ProfileV1, PtwMeta, StreamDecoder, WireError, WireRecord,
-    WireSchema, PTW_VERSION_V2, SYNC_EVERY_RANGE,
+    EncodedStream, Encoder, FrameProfile, ProfileV1, PtwMeta, WireError, WireRecord, WireSchema,
+    PTW_VERSION_V2, SYNC_EVERY_RANGE,
 };
-
-use pstrace_core::Parallelism;
 
 use crate::engine::MessageEvent;
 use crate::protocol::SocModel;
@@ -127,9 +125,8 @@ pub fn decode_capture(
     schema: &WireSchema,
     bytes: &[u8],
     bit_len: Option<u64>,
-    parallelism: Parallelism,
 ) -> (CapturedTrace, DecodeReport) {
-    let report = decode_stream_chunked(schema, bytes, bit_len, parallelism);
+    let report = decode_stream(schema, bytes, bit_len);
     let trace = CapturedTrace::from_records(report.records.iter().map(to_trace).collect());
     (trace, report)
 }
@@ -223,12 +220,7 @@ mod tests {
         let schema = wire_schema(&model, &config, 32).unwrap();
         let direct = capture(&model, &out, &config);
         let stream = encode_events(model.catalog(), &schema, &out.events, &config).unwrap();
-        let (decoded, report) = decode_capture(
-            &schema,
-            &stream.bytes,
-            Some(stream.bit_len),
-            Parallelism::Off,
-        );
+        let (decoded, report) = decode_capture(&schema, &stream.bytes, Some(stream.bit_len));
         assert!(report.is_clean());
         assert_eq!(decoded, direct);
     }

@@ -4,16 +4,16 @@
 //!
 //! * [`stream_ptw`] — the plain one-shot client: one connection, no
 //!   retries, a transport error is the caller's problem;
-//! * [`stream_ptw_with`] — the hardened client: connect/read timeouts
-//!   from a [`RetryPolicy`], the v3 resumable-session verb, and bounded
-//!   reconnect-with-backoff that picks the session back up at the
-//!   server's acknowledged byte offset, so the reassembled stream is
+//! * [`stream_ptw_resumable`] — the hardened client: the resumable-session
+//!   verb plus bounded reconnect-with-backoff per the [`RetryPolicy`] in
+//!   its [`StreamOptions`], picking the session back up at the server's
+//!   acknowledged byte offset, so the reassembled stream is
 //!   byte-identical to an uninterrupted one.
 //!
-//! [`stream_ptw_resumable`] is the transport-generic core of the
-//! hardened client: it speaks to whatever `Read + Write` the connector
-//! returns, which is how the fault-injection harness slips a chaos
-//! wrapper between the client and the socket.
+//! The hardened client speaks to whatever `Read + Write` its connector
+//! returns: [`connect_tcp`] for a plain socket under the policy's
+//! timeouts, or a wrapper around one, which is how the fault-injection
+//! harness slips a chaos layer between the client and the socket.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -25,8 +25,8 @@ use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
 use crate::proto::{
-    parse_resume_ack, read_reply, write_data, write_finish, write_hello_as, write_metrics_request,
-    write_resume_hello_as, write_shutdown_request,
+    parse_resume_ack, read_reply, write_data, write_finish, write_hello, write_metrics_request,
+    write_resume_hello, write_shutdown_request, Hello,
 };
 
 /// Default chunk size of the replay client, sized to cut a typical
@@ -82,6 +82,74 @@ impl Default for RetryPolicy {
     }
 }
 
+/// What [`stream_ptw_resumable`] sends besides the capture: the hello's
+/// session fields, the chunk size and the transport retry policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamOptions {
+    /// Usage scenario number the capture belongs to.
+    pub scenario: u8,
+    /// How the daemon matches the observation against path projections.
+    pub mode: MatchMode,
+    /// Tenant id riding every (re)connection's hello, for daemons
+    /// enforcing per-tenant quotas (0 = the anonymous tenant).
+    pub tenant: u32,
+    /// Flight-recorder trace-context id riding every (re)connection's
+    /// hello. `None` mints one per call ([`next_trace_id`]); `Some(0)`
+    /// lets the server assign one; any other value lets a harness find
+    /// its session in a flight-recorder dump afterwards.
+    pub trace: Option<u64>,
+    /// Size of each data chunk on the wire (0 is treated as 1).
+    pub chunk_bytes: usize,
+    /// Timeouts and the reconnect budget.
+    pub retry: RetryPolicy,
+}
+
+impl StreamOptions {
+    /// Options for `scenario` under `mode`: the anonymous tenant, a
+    /// minted trace id, [`DEFAULT_CHUNK_BYTES`] chunks and the default
+    /// [`RetryPolicy`].
+    #[must_use]
+    pub fn new(scenario: u8, mode: MatchMode) -> Self {
+        StreamOptions {
+            scenario,
+            mode,
+            tenant: 0,
+            trace: None,
+            chunk_bytes: DEFAULT_CHUNK_BYTES,
+            retry: RetryPolicy::default(),
+        }
+    }
+}
+
+/// Opens one TCP connection to `addr` under `policy`'s timeouts: every
+/// resolved address is tried with the connect timeout, and the first
+/// socket that answers gets `TCP_NODELAY` and the read timeout. Pass it
+/// (or a wrapper around it) as [`stream_ptw_resumable`]'s connector.
+///
+/// # Errors
+///
+/// The last address's connect failure, or
+/// [`io::ErrorKind::AddrNotAvailable`] when `addr` resolves to nothing.
+pub fn connect_tcp(addr: impl ToSocketAddrs, policy: &RetryPolicy) -> io::Result<TcpStream> {
+    let mut last = None;
+    for a in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&a, policy.connect_timeout) {
+            Ok(s) => {
+                s.set_nodelay(true).ok();
+                s.set_read_timeout(Some(policy.read_timeout)).ok();
+                return Ok(s);
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::AddrNotAvailable,
+            "address resolved to nothing",
+        )
+    }))
+}
+
 /// Splits a `.ptw` container into `(schema prefix, bit_len, payload)`,
 /// validating it against `catalog` exactly as the server will.
 fn split_ptw<'a>(
@@ -131,24 +199,6 @@ pub fn stream_ptw(
     ptw_bytes: &[u8],
     chunk_bytes: usize,
 ) -> Result<String, StreamError> {
-    stream_ptw_as(addr, catalog, scenario, mode, 0, ptw_bytes, chunk_bytes)
-}
-
-/// [`stream_ptw`] with an explicit tenant id on the hello, for daemons
-/// enforcing per-tenant quotas.
-///
-/// # Errors
-///
-/// As [`stream_ptw`].
-pub fn stream_ptw_as(
-    addr: impl ToSocketAddrs,
-    catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    ptw_bytes: &[u8],
-    chunk_bytes: usize,
-) -> Result<String, StreamError> {
     let (schema, bit_len, payload) = split_ptw(catalog, ptw_bytes)?;
 
     let stream = TcpStream::connect(addr)?;
@@ -156,28 +206,21 @@ pub fn stream_ptw_as(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
-    write_hello_as(&mut writer, scenario, mode, tenant, next_trace_id(), schema)?;
-    let chunk = chunk_bytes.max(1);
-    for piece in payload.chunks(chunk) {
+    let hello = Hello {
+        scenario,
+        mode,
+        tenant: 0,
+        trace: next_trace_id(),
+        schema: schema.to_vec(),
+    };
+    write_hello(&mut writer, &hello)?;
+    for piece in payload.chunks(chunk_bytes.max(1)) {
         write_data(&mut writer, piece)?;
     }
     write_finish(&mut writer, bit_len)?;
     writer.flush()?;
 
     read_reply(&mut reader)
-}
-
-/// Everything one resumable attempt needs besides the transport and the
-/// evolving resume token: the per-session constants of the replay.
-struct AttemptArgs<'a> {
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    trace: u64,
-    schema: &'a [u8],
-    bit_len: u64,
-    payload: &'a [u8],
-    chunk: usize,
 }
 
 /// One attempt of the resumable protocol over an established transport:
@@ -190,18 +233,12 @@ fn resume_attempt<S: Read + Write>(
     transport: &mut S,
     token: &mut u64,
     epoch: &mut u64,
-    args: &AttemptArgs<'_>,
+    hello: &Hello,
+    payload: &[u8],
+    bit_len: u64,
+    chunk: usize,
 ) -> Result<String, StreamError> {
-    write_resume_hello_as(
-        transport,
-        *token,
-        *epoch,
-        args.scenario,
-        args.mode,
-        args.tenant,
-        args.trace,
-        args.schema,
-    )?;
+    write_resume_hello(transport, *token, *epoch, hello)?;
     transport.flush()?;
     let ack = read_reply(transport)?;
     let (acked_token, offset, acked_epoch) = parse_resume_ack(&ack)?;
@@ -209,27 +246,28 @@ fn resume_attempt<S: Read + Write>(
     *epoch = acked_epoch;
     let offset = usize::try_from(offset)
         .ok()
-        .filter(|&o| o <= args.payload.len())
+        .filter(|&o| o <= payload.len())
         .ok_or_else(|| {
             StreamError::Protocol(format!("server acked an impossible offset {offset}"))
         })?;
-    for piece in args.payload[offset..].chunks(args.chunk) {
+    for piece in payload[offset..].chunks(chunk) {
         write_data(transport, piece)?;
     }
-    write_finish(transport, args.bit_len)?;
+    write_finish(transport, bit_len)?;
     transport.flush()?;
     read_reply(transport)
 }
 
-/// The transport-generic hardened client: replays `ptw_bytes` through
-/// whatever `connect` returns, resuming across transport deaths.
+/// The hardened client: replays `ptw_bytes` through whatever `connect`
+/// returns, resuming across transport deaths.
 ///
 /// `connect` is called once per attempt (first connection plus up to
-/// `policy.max_reconnects` reconnects) with the 0-based attempt number;
-/// returning an error consumes an attempt. After a mid-stream death the
-/// next attempt sends the server's resume token and continues from the
-/// acknowledged byte offset — never re-sending acknowledged bytes, never
-/// skipping unacknowledged ones.
+/// `options.retry.max_reconnects` reconnects) with the 0-based attempt
+/// number; returning an error consumes an attempt. Every attempt's hello
+/// carries the same tenant and trace-context id. After a mid-stream death
+/// the next attempt sends the server's resume token and continues from
+/// the acknowledged byte offset — never re-sending acknowledged bytes,
+/// never skipping unacknowledged ones.
 ///
 /// # Errors
 ///
@@ -240,102 +278,25 @@ fn resume_attempt<S: Read + Write>(
 /// * [`StreamError::Remote`] when the server rejects the session (not
 ///   retried: the rejection is authoritative).
 pub fn stream_ptw_resumable<S, F>(
-    connect: F,
-    catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    ptw_bytes: &[u8],
-    chunk_bytes: usize,
-    policy: &RetryPolicy,
-) -> Result<String, StreamError>
-where
-    S: Read + Write,
-    F: FnMut(u32) -> io::Result<S>,
-{
-    stream_ptw_resumable_as(
-        connect,
-        catalog,
-        scenario,
-        mode,
-        0,
-        ptw_bytes,
-        chunk_bytes,
-        policy,
-    )
-}
-
-/// [`stream_ptw_resumable`] with an explicit tenant id riding every
-/// (re)connection's hello, for daemons enforcing per-tenant quotas.
-///
-/// A fresh trace-context id is minted once per call and rides every
-/// reconnect's hello, so the daemon's flight recorder stitches all
-/// attempts into one logical session.
-///
-/// # Errors
-///
-/// As [`stream_ptw_resumable`].
-#[allow(clippy::too_many_arguments)]
-pub fn stream_ptw_resumable_as<S, F>(
-    connect: F,
-    catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    ptw_bytes: &[u8],
-    chunk_bytes: usize,
-    policy: &RetryPolicy,
-) -> Result<String, StreamError>
-where
-    S: Read + Write,
-    F: FnMut(u32) -> io::Result<S>,
-{
-    stream_ptw_resumable_traced(
-        connect,
-        catalog,
-        scenario,
-        mode,
-        tenant,
-        next_trace_id(),
-        ptw_bytes,
-        chunk_bytes,
-        policy,
-    )
-}
-
-/// [`stream_ptw_resumable_as`] with a caller-chosen trace-context id
-/// (pass 0 to let the server assign one), for harnesses that need to
-/// find their session in a flight-recorder dump afterwards.
-///
-/// # Errors
-///
-/// As [`stream_ptw_resumable`].
-#[allow(clippy::too_many_arguments)]
-pub fn stream_ptw_resumable_traced<S, F>(
     mut connect: F,
     catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    trace: u64,
     ptw_bytes: &[u8],
-    chunk_bytes: usize,
-    policy: &RetryPolicy,
+    options: &StreamOptions,
 ) -> Result<String, StreamError>
 where
     S: Read + Write,
     F: FnMut(u32) -> io::Result<S>,
 {
     let (schema, bit_len, payload) = split_ptw(catalog, ptw_bytes)?;
-    let args = AttemptArgs {
-        scenario,
-        mode,
-        tenant,
-        trace,
-        schema,
-        bit_len,
-        payload,
-        chunk: chunk_bytes.max(1),
+    let hello = Hello {
+        scenario: options.scenario,
+        mode: options.mode,
+        tenant: options.tenant,
+        trace: options.trace.unwrap_or_else(next_trace_id),
+        schema: schema.to_vec(),
     };
+    let chunk = options.chunk_bytes.max(1);
+    let policy = &options.retry;
     let mut token = 0u64;
     let mut epoch = 0u64;
     let mut backoff = policy.initial_backoff;
@@ -353,7 +314,15 @@ where
                 continue;
             }
         };
-        match resume_attempt(&mut transport, &mut token, &mut epoch, &args) {
+        match resume_attempt(
+            &mut transport,
+            &mut token,
+            &mut epoch,
+            &hello,
+            payload,
+            bit_len,
+            chunk,
+        ) {
             Ok(report) => return Ok(report),
             // The server spoke: its verdict is final, not a transport
             // fault to retry through.
@@ -363,55 +332,6 @@ where
     }
     Err(last_err
         .unwrap_or_else(|| StreamError::Protocol("no connection attempts were made".to_owned())))
-}
-
-/// [`stream_ptw`] hardened per `policy`: connect timeout per attempt,
-/// read timeout on the socket, and bounded reconnect-with-backoff that
-/// resumes mid-stream at the server's acknowledged byte offset.
-///
-/// # Errors
-///
-/// As [`stream_ptw_resumable`].
-pub fn stream_ptw_with(
-    addr: impl ToSocketAddrs,
-    catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    ptw_bytes: &[u8],
-    chunk_bytes: usize,
-    policy: &RetryPolicy,
-) -> Result<String, StreamError> {
-    let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-    if addrs.is_empty() {
-        return Err(StreamError::Protocol(
-            "address resolved to nothing".to_owned(),
-        ));
-    }
-    let policy_copy = *policy;
-    stream_ptw_resumable(
-        move |_attempt| {
-            let mut last = None;
-            for a in &addrs {
-                match TcpStream::connect_timeout(a, policy_copy.connect_timeout) {
-                    Ok(s) => {
-                        s.set_nodelay(true).ok();
-                        s.set_read_timeout(Some(policy_copy.read_timeout)).ok();
-                        return Ok(s);
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            Err(last.unwrap_or_else(|| {
-                io::Error::new(io::ErrorKind::AddrNotAvailable, "no address to connect to")
-            }))
-        },
-        catalog,
-        scenario,
-        mode,
-        ptw_bytes,
-        chunk_bytes,
-        policy,
-    )
 }
 
 /// Asks the daemon at `addr` for its Prometheus text exposition (the
@@ -451,34 +371,184 @@ pub fn fetch_metrics(addr: impl ToSocketAddrs) -> Result<String, StreamError> {
 /// * [`StreamError::Remote`] when the server refuses the request.
 pub fn request_shutdown(addr: impl ToSocketAddrs) -> Result<String, StreamError> {
     let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-    if addrs.is_empty() {
+    let Some(last) = addrs.last() else {
         return Err(StreamError::Protocol(
             "address resolved to nothing".to_owned(),
         ));
-    }
-    let mut last = None;
-    let mut stream = None;
-    for a in &addrs {
-        match TcpStream::connect_timeout(a, Duration::from_secs(2)) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
-            Err(e) => last = Some((a, e)),
-        }
-    }
-    let Some(stream) = stream else {
-        let (a, source) = last.expect("at least one address was tried");
-        return Err(StreamError::Unreachable {
-            addr: a.to_string(),
-            source,
-        });
     };
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
+    let policy = RetryPolicy {
+        connect_timeout: Duration::from_secs(2),
+        read_timeout: Duration::from_secs(10),
+        ..RetryPolicy::default()
+    };
+    let stream = connect_tcp(&addrs[..], &policy).map_err(|source| StreamError::Unreachable {
+        addr: last.to_string(),
+        source,
+    })?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     write_shutdown_request(&mut writer)?;
     writer.flush()?;
     read_reply(&mut reader)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{
+        decode_chunk, decode_request, write_reply, write_resume_ack, Chunk, Request,
+    };
+    use pstrace_flow::{FlowIndex, IndexedMessage};
+    use pstrace_wire::{encode_records, write_ptw, WireRecord, WireSchema};
+    use std::sync::{Arc, Mutex};
+
+    /// What a scripted daemon saw across every connection.
+    #[derive(Default)]
+    struct Seen {
+        /// Every hello, parsed with the daemon's own parser.
+        hellos: Vec<Request>,
+        /// Payload bytes of every complete data chunk, in arrival order.
+        payload: Vec<u8>,
+        finish: Option<u64>,
+    }
+
+    /// One connection to a scripted daemon. It parses what the client
+    /// writes with `decode_request` / `decode_chunk`, acks the payload
+    /// bytes it already holds, and breaks once `budget` bytes were written.
+    struct Conn {
+        seen: Arc<Mutex<Seen>>,
+        inbuf: Vec<u8>,
+        greeted: bool,
+        replies: Vec<u8>,
+        budget: usize,
+    }
+
+    impl Write for Conn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.inbuf.extend_from_slice(&buf[..n]);
+            let mut seen = self.seen.lock().unwrap();
+            if !self.greeted {
+                if let Some((request, used)) = decode_request(&self.inbuf).unwrap() {
+                    self.inbuf.drain(..used);
+                    self.greeted = true;
+                    seen.hellos.push(request);
+                    let offset = seen.payload.len() as u64;
+                    write_resume_ack(&mut self.replies, 7, offset, 0xE9).unwrap();
+                }
+            }
+            while self.greeted {
+                let Some((chunk, used)) = decode_chunk(&self.inbuf).unwrap() else {
+                    break;
+                };
+                self.inbuf.drain(..used);
+                match chunk {
+                    Chunk::Data(bytes) => seen.payload.extend_from_slice(&bytes),
+                    Chunk::Finish { bit_len } => {
+                        seen.finish = Some(bit_len);
+                        write_reply(&mut self.replies, true, "session ok").unwrap();
+                    }
+                }
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Conn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.replies.len());
+            buf[..n].copy_from_slice(&self.replies[..n]);
+            self.replies.drain(..n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn reconnects_carry_tenant_and_one_trace_id_and_reassemble_the_payload() {
+        let mut catalog = MessageCatalog::new();
+        let a = catalog.intern("a", 4);
+        let b = catalog.intern("b", 9);
+        let schema = WireSchema::new(&catalog, &[a, b], &[], 16).unwrap();
+        let records: Vec<WireRecord> = (0..40u64)
+            .map(|i| WireRecord {
+                time: i * 3,
+                message: IndexedMessage::new(if i % 2 == 0 { a } else { b }, FlowIndex(1)),
+                value: i % 16,
+                partial: false,
+            })
+            .collect();
+        let stream = encode_records(&schema, &records, None).unwrap();
+        let ptw = write_ptw(&catalog, &schema, &stream);
+
+        let options = StreamOptions {
+            tenant: 0xBEEF,
+            chunk_bytes: 4,
+            retry: RetryPolicy {
+                initial_backoff: Duration::from_millis(1),
+                ..RetryPolicy::default()
+            },
+            ..StreamOptions::new(2, MatchMode::Suffix)
+        };
+        // The first connection dies mid-chunk, a few chunks past its hello.
+        let (schema_prefix, _, _) = split_ptw(&catalog, &ptw).unwrap();
+        let first_budget = 40 + schema_prefix.len() + 2 * 9 + 3;
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let daemon = Arc::clone(&seen);
+        let report = stream_ptw_resumable(
+            move |attempt| {
+                Ok(Conn {
+                    seen: Arc::clone(&daemon),
+                    inbuf: Vec::new(),
+                    greeted: false,
+                    replies: Vec::new(),
+                    budget: if attempt == 0 {
+                        first_budget
+                    } else {
+                        usize::MAX
+                    },
+                })
+            },
+            &catalog,
+            &ptw,
+            &options,
+        )
+        .unwrap();
+        assert_eq!(report, "session ok");
+
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.hellos.len(), 2, "one reconnect");
+        let mut traces = Vec::new();
+        for (attempt, request) in seen.hellos.iter().enumerate() {
+            let Request::Resume {
+                token,
+                epoch,
+                hello,
+            } = request
+            else {
+                panic!("attempt {attempt} sent {request:?}");
+            };
+            let expect = if attempt == 0 { (0, 0) } else { (7, 0xE9) };
+            assert_eq!((*token, *epoch), expect, "attempt {attempt}");
+            assert_eq!(hello.tenant, 0xBEEF, "attempt {attempt}");
+            assert_eq!((hello.scenario, hello.mode), (2, MatchMode::Suffix));
+            assert_eq!(hello.schema, schema_prefix);
+            traces.push(hello.trace);
+        }
+        assert_ne!(traces[0], 0, "a trace id is minted when none is given");
+        assert_eq!(traces[0], traces[1], "one trace id across reconnects");
+        assert!(
+            seen.payload.len() >= 8,
+            "the first attempt delivered chunks"
+        );
+        assert_eq!(seen.payload, stream.bytes);
+        assert_eq!(seen.finish, Some(stream.bit_len));
+    }
 }

@@ -30,9 +30,11 @@
 //!   registry, for off-the-shelf Prometheus scrapers;
 //! * [`stream_ptw`] and [`fetch_metrics`] — the replay and scrape
 //!   clients behind `pstrace stream` / `pstrace metrics`;
-//! * [`stream_ptw_with`] / [`stream_ptw_resumable`] — the hardened
-//!   client: connect/read timeouts ([`RetryPolicy`]) and bounded
-//!   reconnect-with-backoff resuming at the server's acked byte offset;
+//! * [`stream_ptw_resumable`] — the hardened client: one
+//!   [`StreamOptions`] carries the hello fields and the [`RetryPolicy`]
+//!   (bounded reconnect-with-backoff resuming at the server's acked byte
+//!   offset); [`connect_tcp`] is its plain-socket connector with the
+//!   policy's connect/read timeouts;
 //! * [`durable`] — the crash-only layer: an append-only per-shard WAL of
 //!   session lifecycle state (checksummed fixed-size entries reusing the
 //!   codec v2 CRC discipline) plus compacted checkpoints, replayed by
@@ -77,9 +79,8 @@ pub mod durable {
 }
 
 pub use client::{
-    fetch_metrics, next_trace_id, request_shutdown, stream_ptw, stream_ptw_as,
-    stream_ptw_resumable, stream_ptw_resumable_as, stream_ptw_resumable_traced, stream_ptw_with,
-    RetryPolicy, DEFAULT_CHUNK_BYTES,
+    connect_tcp, fetch_metrics, next_trace_id, request_shutdown, stream_ptw, stream_ptw_resumable,
+    RetryPolicy, StreamOptions, DEFAULT_CHUNK_BYTES,
 };
 pub use error::StreamError;
 pub use metrics::MetricsEndpoint;

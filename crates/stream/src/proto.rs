@@ -73,6 +73,11 @@
 //! `epoch` to the resume request and ack, so tokens survive daemon
 //! crashes and stale tokens from another WAL lineage are rejected.
 //!
+//! There is one parser per direction. The daemon's shards never block on
+//! a socket, so requests and chunks are parsed incrementally by
+//! [`decode_request`] and [`decode_chunk`]; clients read the server's
+//! reply with the blocking [`read_reply`].
+//!
 //! The schema handshake reuses the `.ptw` container's self-describing
 //! header verbatim, so a capture file and a live socket describe their
 //! frames identically and the server rebuilds the
@@ -191,13 +196,6 @@ fn read_u32(r: &mut impl Read, what: &str) -> Result<u32, StreamError> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn read_u64(r: &mut impl Read, what: &str) -> Result<u64, StreamError> {
-    let b = read_exact(r, 8, what)?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b);
-    Ok(u64::from_le_bytes(a))
-}
-
 fn checked_len(len: u32, what: &str) -> Result<usize, StreamError> {
     if len > MAX_CHUNK_LEN {
         return Err(StreamError::Protocol(format!(
@@ -207,100 +205,59 @@ fn checked_len(len: u32, what: &str) -> Result<usize, StreamError> {
     Ok(len as usize)
 }
 
-fn checked_schema_len(schema: &[u8]) -> Result<u32, StreamError> {
-    u32::try_from(schema.len())
+/// Writes `bytes` behind its `u32` length, refusing anything over
+/// [`MAX_CHUNK_LEN`] (the cap every reader enforces).
+fn write_len_prefixed(w: &mut impl Write, bytes: &[u8], what: &str) -> Result<(), StreamError> {
+    let len = u32::try_from(bytes.len())
         .ok()
         .filter(|&l| l <= MAX_CHUNK_LEN)
-        .ok_or_else(|| StreamError::Protocol("schema handshake too large".to_owned()))
-}
-
-/// Writes a client hello for the anonymous tenant (tenant 0) with a
-/// server-assigned trace-context id.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_hello(
-    w: &mut impl Write,
-    scenario: u8,
-    mode: MatchMode,
-    schema: &[u8],
-) -> Result<(), StreamError> {
-    write_hello_as(w, scenario, mode, 0, 0, schema)
-}
-
-/// Writes a client hello carrying an explicit tenant id and
-/// trace-context id (0 = let the server assign one).
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_hello_as(
-    w: &mut impl Write,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    trace: u64,
-    schema: &[u8],
-) -> Result<(), StreamError> {
-    let schema_len = checked_schema_len(schema)?;
-    w.write_all(&PROTO_MAGIC)?;
-    w.write_all(&[PROTO_VERSION, REQ_SESSION, scenario, mode_to_byte(mode)])?;
-    w.write_all(&tenant.to_le_bytes())?;
-    w.write_all(&trace.to_le_bytes())?;
-    w.write_all(&schema_len.to_le_bytes())?;
-    w.write_all(schema)?;
+        .ok_or_else(|| StreamError::Protocol(format!("{what} too large")))?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(bytes)?;
     Ok(())
 }
 
-/// Writes a resumable-session hello for the anonymous tenant: preamble,
-/// the resume token (0 opens a fresh resumable session), then the usual
-/// hello fields.
+fn write_hello_body(w: &mut impl Write, hello: &Hello) -> Result<(), StreamError> {
+    w.write_all(&[hello.scenario, mode_to_byte(hello.mode)])?;
+    w.write_all(&hello.tenant.to_le_bytes())?;
+    w.write_all(&hello.trace.to_le_bytes())?;
+    write_len_prefixed(w, &hello.schema, "schema handshake")
+}
+
+/// Writes a `SESSION` request: the preamble, then `hello`.
 ///
 /// # Errors
 ///
-/// Propagates socket write failures.
-pub fn write_resume_hello(
-    w: &mut impl Write,
-    token: u64,
-    scenario: u8,
-    mode: MatchMode,
-    schema: &[u8],
-) -> Result<(), StreamError> {
-    write_resume_hello_as(w, token, 0, scenario, mode, 0, 0, schema)
+/// Propagates socket write failures; rejects a schema over
+/// [`MAX_CHUNK_LEN`].
+pub fn write_hello(w: &mut impl Write, hello: &Hello) -> Result<(), StreamError> {
+    w.write_all(&PROTO_MAGIC)?;
+    w.write_all(&[PROTO_VERSION, REQ_SESSION])?;
+    write_hello_body(w, hello)
 }
 
-/// [`write_resume_hello`] carrying the recovery epoch plus an explicit
-/// tenant id and trace-context id. Reconnects reuse the original trace
-/// id, so the flight recorder sees one id across the session's whole
-/// life, and quote back the epoch from the ack that minted the token so
+/// Writes a `SESSION_RESUME` request: the preamble, the resume token (0
+/// opens a fresh resumable session), the recovery epoch from the ack
+/// that minted the token (0 when opening fresh), then `hello`.
+/// Reconnects reuse the original trace id, so the flight recorder sees
+/// one id across the session's whole life, and quote back the epoch so
 /// the server can tell its own tokens from another lineage's.
 ///
 /// # Errors
 ///
-/// Propagates socket write failures.
-#[allow(clippy::too_many_arguments)]
-pub fn write_resume_hello_as(
+/// Propagates socket write failures; rejects a schema over
+/// [`MAX_CHUNK_LEN`].
+pub fn write_resume_hello(
     w: &mut impl Write,
     token: u64,
     epoch: u64,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    trace: u64,
-    schema: &[u8],
+    hello: &Hello,
 ) -> Result<(), StreamError> {
-    let schema_len = checked_schema_len(schema)?;
     w.write_all(&PROTO_MAGIC)?;
     w.write_all(&[PROTO_VERSION, REQ_SESSION_RESUME])?;
     w.write_all(&token.to_le_bytes())?;
     w.write_all(&epoch.to_le_bytes())?;
-    w.write_all(&[scenario, mode_to_byte(mode)])?;
-    w.write_all(&tenant.to_le_bytes())?;
-    w.write_all(&trace.to_le_bytes())?;
-    w.write_all(&schema_len.to_le_bytes())?;
-    w.write_all(schema)?;
-    Ok(())
+    write_hello_body(w, hello)
 }
 
 /// Writes the server's resume ack (reply framing, so rejections travel
@@ -382,84 +339,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// Reads and validates a client request (preamble plus, for sessions,
-/// the rest of the hello).
-///
-/// # Errors
-///
-/// Returns [`StreamError::Protocol`] on a bad magic, version, request
-/// kind, mode byte or oversized handshake.
-pub fn read_request(r: &mut impl Read) -> Result<Request, StreamError> {
-    let magic = read_exact(r, 4, "magic")?;
-    if magic != PROTO_MAGIC {
-        return Err(StreamError::Protocol("bad protocol magic".to_owned()));
-    }
-    let version = read_u8(r, "version")?;
-    if version != PROTO_VERSION {
-        return Err(StreamError::Protocol(format!(
-            "unsupported protocol version {version}"
-        )));
-    }
-    let read_hello_body = |r: &mut dyn Read| -> Result<Hello, StreamError> {
-        let mut r = r;
-        let scenario = read_u8(&mut r, "scenario")?;
-        let mode = mode_from_byte(read_u8(&mut r, "mode")?)?;
-        let tenant = {
-            let b = read_exact(&mut r, 4, "tenant id")?;
-            u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-        };
-        let trace = read_u64(&mut r, "trace-context id")?;
-        let schema_len = checked_len(read_u32(&mut r, "schema length")?, "schema")?;
-        let schema = read_exact(&mut r, schema_len, "schema handshake")?;
-        Ok(Hello {
-            scenario,
-            mode,
-            tenant,
-            trace,
-            schema,
-        })
-    };
-    match read_u8(r, "request kind")? {
-        REQ_SESSION => Ok(Request::Session(read_hello_body(r)?)),
-        REQ_METRICS => Ok(Request::Metrics),
-        REQ_SESSION_RESUME => {
-            let token = read_u64(r, "resume token")?;
-            let epoch = read_u64(r, "recovery epoch")?;
-            Ok(Request::Resume {
-                token,
-                epoch,
-                hello: read_hello_body(r)?,
-            })
-        }
-        REQ_SHUTDOWN => Ok(Request::Shutdown),
-        other => Err(StreamError::Protocol(format!(
-            "unknown request kind {other}"
-        ))),
-    }
-}
-
-/// Reads and validates a client hello (a [`Request::Session`]).
-///
-/// # Errors
-///
-/// Returns [`StreamError::Protocol`] on a bad magic, version, request
-/// kind (including a `METRICS` request, which carries no session), mode
-/// byte or oversized handshake.
-pub fn read_hello(r: &mut impl Read) -> Result<Hello, StreamError> {
-    match read_request(r)? {
-        Request::Session(hello) => Ok(hello),
-        Request::Metrics => Err(StreamError::Protocol(
-            "expected a session hello, got a metrics request".to_owned(),
-        )),
-        Request::Resume { .. } => Err(StreamError::Protocol(
-            "expected a session hello, got a resumable-session request".to_owned(),
-        )),
-        Request::Shutdown => Err(StreamError::Protocol(
-            "expected a session hello, got a shutdown request".to_owned(),
-        )),
-    }
-}
-
 /// One incoming chunk, as the server sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Chunk {
@@ -479,14 +358,8 @@ pub enum Chunk {
 /// Propagates socket write failures; rejects chunks over
 /// [`MAX_CHUNK_LEN`].
 pub fn write_data(w: &mut impl Write, bytes: &[u8]) -> Result<(), StreamError> {
-    let len = u32::try_from(bytes.len())
-        .ok()
-        .filter(|&l| l <= MAX_CHUNK_LEN)
-        .ok_or_else(|| StreamError::Protocol("data chunk too large".to_owned()))?;
     w.write_all(&[CHUNK_DATA])?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(bytes)?;
-    Ok(())
+    write_len_prefixed(w, bytes, "data chunk")
 }
 
 /// Writes the finishing chunk.
@@ -498,25 +371,6 @@ pub fn write_finish(w: &mut impl Write, bit_len: u64) -> Result<(), StreamError>
     w.write_all(&[CHUNK_FINISH])?;
     w.write_all(&bit_len.to_le_bytes())?;
     Ok(())
-}
-
-/// Reads the next chunk.
-///
-/// # Errors
-///
-/// Returns [`StreamError::Protocol`] on an unknown chunk tag, an
-/// oversized length, or a truncated chunk.
-pub fn read_chunk(r: &mut impl Read) -> Result<Chunk, StreamError> {
-    match read_u8(r, "chunk tag")? {
-        CHUNK_DATA => {
-            let len = checked_len(read_u32(r, "chunk length")?, "data chunk")?;
-            Ok(Chunk::Data(read_exact(r, len, "chunk payload")?))
-        }
-        CHUNK_FINISH => Ok(Chunk::Finish {
-            bit_len: read_u64(r, "stream bit length")?,
-        }),
-        other => Err(StreamError::Protocol(format!("unknown chunk tag {other}"))),
-    }
 }
 
 /// A cursor over a byte slice for the incremental (nonblocking) parsers:
@@ -679,15 +533,8 @@ pub fn decode_chunk(buf: &[u8]) -> Result<Option<(Chunk, usize)>, StreamError> {
 ///
 /// Propagates socket write failures.
 pub fn write_reply(w: &mut impl Write, ok: bool, report: &str) -> Result<(), StreamError> {
-    let bytes = report.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .ok()
-        .filter(|&l| l <= MAX_CHUNK_LEN)
-        .ok_or_else(|| StreamError::Protocol("reply too large".to_owned()))?;
     w.write_all(&[u8::from(!ok)])?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(bytes)?;
-    Ok(())
+    write_len_prefixed(w, report.as_bytes(), "reply")
 }
 
 /// Reads the server reply, mapping a failure status onto
@@ -715,32 +562,44 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn hello(scenario: u8, mode: MatchMode, tenant: u32, trace: u64, schema: &[u8]) -> Hello {
+        Hello {
+            scenario,
+            mode,
+            tenant,
+            trace,
+            schema: schema.to_vec(),
+        }
+    }
+
+    fn encode(write: impl FnOnce(&mut Vec<u8>) -> Result<(), StreamError>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf).unwrap();
+        buf
+    }
+
+    /// Parses one complete request that must span the whole buffer.
+    fn parse(wire: &[u8]) -> Request {
+        let (request, used) = decode_request(wire).unwrap().expect("complete request");
+        assert_eq!(used, wire.len());
+        request
+    }
+
     #[test]
     fn hello_round_trips() {
-        let mut buf = Vec::new();
-        write_hello(&mut buf, 3, MatchMode::Suffix, b"schema-bytes").unwrap();
-        let hello = read_hello(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(
-            hello,
-            Hello {
-                scenario: 3,
-                mode: MatchMode::Suffix,
-                tenant: 0,
-                trace: 0,
-                schema: b"schema-bytes".to_vec(),
-            }
-        );
+        let sent = hello(3, MatchMode::Suffix, 0, 0, b"schema-bytes");
+        let wire = encode(|w| write_hello(w, &sent));
+        assert_eq!(parse(&wire), Request::Session(sent));
     }
 
     #[test]
     fn tenant_id_rides_both_hello_shapes() {
-        let mut buf = Vec::new();
-        write_hello_as(&mut buf, 2, MatchMode::Prefix, 0xdead_beef, 0, b"s").unwrap();
-        let hello = read_hello(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(hello.tenant, 0xdead_beef);
-        let mut buf = Vec::new();
-        write_resume_hello_as(&mut buf, 9, 0xE0, 1, MatchMode::Exact, 77, 0, b"x").unwrap();
-        match read_request(&mut Cursor::new(&buf)).unwrap() {
+        let sent = hello(2, MatchMode::Prefix, 0xdead_beef, 0, b"s");
+        let wire = encode(|w| write_hello(w, &sent));
+        assert!(matches!(parse(&wire), Request::Session(h) if h.tenant == 0xdead_beef));
+        let sent = hello(1, MatchMode::Exact, 77, 0, b"x");
+        let wire = encode(|w| write_resume_hello(w, 9, 0xE0, &sent));
+        match parse(&wire) {
             Request::Resume {
                 token,
                 epoch,
@@ -756,79 +615,49 @@ mod tests {
 
     #[test]
     fn trace_context_id_rides_both_hello_shapes() {
-        let mut buf = Vec::new();
-        write_hello_as(
-            &mut buf,
-            2,
-            MatchMode::Prefix,
-            7,
-            0x1122_3344_5566_7788,
-            b"s",
-        )
-        .unwrap();
-        let hello = read_hello(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(hello.trace, 0x1122_3344_5566_7788);
-        let mut buf = Vec::new();
-        write_resume_hello_as(&mut buf, 5, 0, 1, MatchMode::Exact, 0, 0xabcd, b"x").unwrap();
-        match read_request(&mut Cursor::new(&buf)).unwrap() {
+        let sent = hello(2, MatchMode::Prefix, 7, 0x1122_3344_5566_7788, b"s");
+        let wire = encode(|w| write_hello(w, &sent));
+        assert!(matches!(parse(&wire), Request::Session(h) if h.trace == 0x1122_3344_5566_7788));
+        let sent = hello(1, MatchMode::Exact, 0, 0xabcd, b"x");
+        let wire = encode(|w| write_resume_hello(w, 5, 0, &sent));
+        match parse(&wire) {
             Request::Resume { token, hello, .. } => {
                 assert_eq!(token, 5);
                 assert_eq!(hello.trace, 0xabcd);
             }
             other => panic!("parsed {other:?}"),
         }
-        // The incremental parser sees the same id.
-        let (parsed, _) = decode_request(&buf).unwrap().expect("complete");
-        assert!(matches!(parsed, Request::Resume { hello, .. } if hello.trace == 0xabcd));
     }
 
     #[test]
     fn shutdown_request_round_trips() {
-        let mut buf = Vec::new();
-        write_shutdown_request(&mut buf).unwrap();
-        assert_eq!(
-            read_request(&mut Cursor::new(&buf)).unwrap(),
-            Request::Shutdown
-        );
-        assert!(read_hello(&mut Cursor::new(&buf)).is_err());
+        let wire = encode(write_shutdown_request);
+        assert_eq!(parse(&wire), Request::Shutdown);
     }
 
     #[test]
-    fn incremental_request_parser_agrees_with_the_blocking_one() {
-        let mut requests: Vec<Vec<u8>> = Vec::new();
-        let mut session = Vec::new();
-        write_hello_as(
-            &mut session,
-            1,
-            MatchMode::Prefix,
-            42,
-            0xfeed,
-            b"schema-bytes",
-        )
-        .unwrap();
-        requests.push(session);
-        let mut resume = Vec::new();
-        write_resume_hello_as(
-            &mut resume,
-            7,
-            0x1234,
-            2,
-            MatchMode::Suffix,
-            3,
-            0xbeef,
-            b"more",
-        )
-        .unwrap();
-        requests.push(resume);
-        let mut metrics = Vec::new();
-        write_metrics_request(&mut metrics).unwrap();
-        requests.push(metrics);
-        let mut shutdown = Vec::new();
-        write_shutdown_request(&mut shutdown).unwrap();
-        requests.push(shutdown);
-
-        for wire in requests {
-            let blocking = read_request(&mut Cursor::new(&wire)).unwrap();
+    fn request_parser_round_trips_at_every_split_point() {
+        let requests = [
+            Request::Session(hello(1, MatchMode::Prefix, 42, 0xfeed, b"schema-bytes")),
+            Request::Resume {
+                token: 7,
+                epoch: 0x1234,
+                hello: hello(2, MatchMode::Suffix, 3, 0xbeef, b"more"),
+            },
+            Request::Metrics,
+            Request::Shutdown,
+        ];
+        for request in requests {
+            let wire = encode(|w| match &request {
+                Request::Session(h) => write_hello(w, h),
+                Request::Resume {
+                    token,
+                    epoch,
+                    hello,
+                } => write_resume_hello(w, *token, *epoch, hello),
+                Request::Metrics => write_metrics_request(w),
+                Request::Shutdown => write_shutdown_request(w),
+            });
             // Every strict prefix is "need more bytes", never an error.
             for cut in 0..wire.len() {
                 assert_eq!(
@@ -837,14 +666,12 @@ mod tests {
                     "prefix of {cut} bytes must ask for more"
                 );
             }
-            let (parsed, used) = decode_request(&wire).unwrap().expect("complete");
-            assert_eq!(parsed, blocking);
-            assert_eq!(used, wire.len());
+            assert_eq!(parse(&wire), request);
             // Trailing bytes (pipelined chunks) are left untouched.
             let mut extra = wire.clone();
             extra.extend_from_slice(&[0xAA; 9]);
             let (again, used_again) = decode_request(&extra).unwrap().expect("complete");
-            assert_eq!(again, parsed);
+            assert_eq!(again, request);
             assert_eq!(used_again, wire.len());
         }
     }
@@ -854,12 +681,10 @@ mod tests {
         assert!(decode_request(b"NO").is_err(), "magic mismatch at byte 1");
         assert!(decode_request(b"PSTX").is_err());
         assert!(matches!(decode_request(b"PST"), Ok(None)));
-        let mut bad_version = Vec::new();
-        write_metrics_request(&mut bad_version).unwrap();
+        let mut bad_version = encode(write_metrics_request);
         bad_version[4] = 9;
         assert!(decode_request(&bad_version).is_err());
-        let mut bad_kind = Vec::new();
-        write_metrics_request(&mut bad_kind).unwrap();
+        let mut bad_kind = encode(write_metrics_request);
         bad_kind[5] = 77;
         assert!(decode_request(&bad_kind).is_err());
         // An oversized schema length fails before the payload arrives.
@@ -870,44 +695,52 @@ mod tests {
         huge.extend_from_slice(&0u64.to_le_bytes());
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_request(&huge).is_err());
+        // An unassigned match-mode byte is rejected.
+        let mut bad_mode = encode(|w| write_hello(w, &hello(1, MatchMode::Exact, 0, 0, b"")));
+        bad_mode[7] = 9;
+        assert!(decode_request(&bad_mode).is_err());
     }
 
     #[test]
-    fn incremental_chunk_parser_agrees_with_the_blocking_one() {
-        let mut wire = Vec::new();
-        write_data(&mut wire, &[1, 2, 3, 4, 5]).unwrap();
-        write_finish(&mut wire, 40).unwrap();
-        for cut in 0..10 {
-            assert!(matches!(decode_chunk(&wire[..cut]), Ok(None)));
+    fn chunk_parser_round_trips_at_every_split_point() {
+        let chunks = [
+            Chunk::Data(vec![1, 2, 3, 4, 5]),
+            Chunk::Data(Vec::new()),
+            Chunk::Finish { bit_len: 40 },
+        ];
+        for chunk in chunks {
+            let wire = encode(|w| match &chunk {
+                Chunk::Data(bytes) => write_data(w, bytes),
+                Chunk::Finish { bit_len } => write_finish(w, *bit_len),
+            });
+            for cut in 0..wire.len() {
+                assert!(
+                    matches!(decode_chunk(&wire[..cut]), Ok(None)),
+                    "prefix of {cut} bytes must ask for more"
+                );
+            }
+            let mut extra = wire.clone();
+            extra.push(CHUNK_FINISH);
+            assert_eq!(decode_chunk(&extra).unwrap(), Some((chunk, wire.len())));
         }
-        let (first, used) = decode_chunk(&wire).unwrap().expect("data chunk");
-        assert_eq!(first, Chunk::Data(vec![1, 2, 3, 4, 5]));
-        let (second, used2) = decode_chunk(&wire[used..]).unwrap().expect("finish");
-        assert_eq!(second, Chunk::Finish { bit_len: 40 });
-        assert_eq!(used + used2, wire.len());
-        assert!(decode_chunk(&[7u8]).is_err(), "unknown tag");
-        let mut huge = vec![CHUNK_DATA];
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_chunk(&huge).is_err(), "cap checked before payload");
     }
 
     #[test]
     fn chunks_round_trip() {
-        let mut buf = Vec::new();
-        write_data(&mut buf, &[1, 2, 3]).unwrap();
-        write_finish(&mut buf, 99).unwrap();
-        let mut c = Cursor::new(&buf);
-        assert_eq!(read_chunk(&mut c).unwrap(), Chunk::Data(vec![1, 2, 3]));
-        assert_eq!(read_chunk(&mut c).unwrap(), Chunk::Finish { bit_len: 99 });
+        let mut wire = encode(|w| write_data(w, &[1, 2, 3]));
+        write_finish(&mut wire, 99).unwrap();
+        let (first, used) = decode_chunk(&wire).unwrap().expect("data chunk");
+        assert_eq!(first, Chunk::Data(vec![1, 2, 3]));
+        let (second, used2) = decode_chunk(&wire[used..]).unwrap().expect("finish");
+        assert_eq!(second, Chunk::Finish { bit_len: 99 });
+        assert_eq!(used + used2, wire.len());
     }
 
     #[test]
     fn replies_round_trip_and_carry_failure() {
-        let mut buf = Vec::new();
-        write_reply(&mut buf, true, "all good").unwrap();
+        let buf = encode(|w| write_reply(w, true, "all good"));
         assert_eq!(read_reply(&mut Cursor::new(&buf)).unwrap(), "all good");
-        let mut buf = Vec::new();
-        write_reply(&mut buf, false, "boom").unwrap();
+        let buf = encode(|w| write_reply(w, false, "boom"));
         assert!(matches!(
             read_reply(&mut Cursor::new(&buf)),
             Err(StreamError::Remote(m)) if m == "boom"
@@ -916,61 +749,47 @@ mod tests {
 
     #[test]
     fn foreign_bytes_are_rejected() {
-        assert!(read_hello(&mut Cursor::new(b"nope....")).is_err());
-        let mut bad_version = Vec::new();
-        write_hello(&mut bad_version, 1, MatchMode::Exact, b"").unwrap();
+        assert!(decode_request(b"nope....").is_err());
+        let mut bad_version = encode(|w| write_hello(w, &hello(1, MatchMode::Exact, 0, 0, b"")));
         bad_version[4] = 9;
-        assert!(read_hello(&mut Cursor::new(&bad_version)).is_err());
-        assert!(read_chunk(&mut Cursor::new(&[7u8])).is_err());
+        assert!(decode_request(&bad_version).is_err());
+        assert!(decode_chunk(&[7u8]).is_err(), "unknown tag");
         // A length prefix past the cap must error before allocating.
         let mut huge = vec![CHUNK_DATA];
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_chunk(&mut Cursor::new(&huge)).is_err());
+        assert!(decode_chunk(&huge).is_err(), "cap checked before payload");
+        // A truncated or oversized reply is a protocol error, not a hang.
+        assert!(read_reply(&mut Cursor::new(&[0u8, 9, 0])).is_err());
+        let mut huge_reply = vec![0u8];
+        huge_reply.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read_reply(&mut Cursor::new(&huge_reply)).is_err());
     }
 
     #[test]
     fn metrics_request_round_trips_and_is_distinguished() {
-        let mut buf = Vec::new();
-        write_metrics_request(&mut buf).unwrap();
-        assert_eq!(
-            read_request(&mut Cursor::new(&buf)).unwrap(),
-            Request::Metrics
-        );
-        // read_hello refuses a metrics request.
-        assert!(read_hello(&mut Cursor::new(&buf)).is_err());
-        let mut session = Vec::new();
-        write_hello(&mut session, 2, MatchMode::Prefix, b"s").unwrap();
-        assert!(matches!(
-            read_request(&mut Cursor::new(&session)).unwrap(),
-            Request::Session(h) if h.scenario == 2
-        ));
+        let wire = encode(write_metrics_request);
+        assert_eq!(parse(&wire), Request::Metrics);
+        let session = encode(|w| write_hello(w, &hello(2, MatchMode::Prefix, 0, 0, b"s")));
+        assert!(matches!(parse(&session), Request::Session(h) if h.scenario == 2));
         // An unassigned request kind is rejected.
-        let mut bad = Vec::new();
-        write_metrics_request(&mut bad).unwrap();
+        let mut bad = wire;
         bad[5] = 9;
-        assert!(read_request(&mut Cursor::new(&bad)).is_err());
+        assert!(decode_request(&bad).is_err());
     }
 
     #[test]
     fn resume_hello_and_ack_round_trip() {
-        let mut buf = Vec::new();
-        write_resume_hello(&mut buf, 42, 4, MatchMode::Prefix, b"schema").unwrap();
-        match read_request(&mut Cursor::new(&buf)).unwrap() {
+        let sent = hello(4, MatchMode::Prefix, 0, 0, b"schema");
+        let wire = encode(|w| write_resume_hello(w, 42, 0, &sent));
+        assert_eq!(
+            parse(&wire),
             Request::Resume {
-                token,
-                epoch,
-                hello,
-            } => {
-                assert_eq!(token, 42);
-                assert_eq!(epoch, 0, "the anonymous helper quotes no epoch");
-                assert_eq!(hello.scenario, 4);
-                assert_eq!(hello.mode, MatchMode::Prefix);
-                assert_eq!(hello.schema, b"schema");
+                token: 42,
+                epoch: 0,
+                hello: sent,
             }
-            other => panic!("parsed {other:?}"),
-        }
-        let mut ack = Vec::new();
-        write_resume_ack(&mut ack, 42, 1024, 0xE9).unwrap();
+        );
+        let ack = encode(|w| write_resume_ack(w, 42, 1024, 0xE9));
         let text = read_reply(&mut Cursor::new(&ack)).unwrap();
         assert_eq!(parse_resume_ack(&text).unwrap(), (42, 1024, 0xE9));
         assert!(parse_resume_ack("resume x y z").is_err());

@@ -9,13 +9,12 @@
 //! rest of the stream, and never a panic.
 //!
 //! Because frames are self-contained (absolute timestamps, per-frame
-//! tags), the stream splits into chunks that decode independently:
-//! [`decode_stream_chunked`] fans the frame range out across threads via
-//! the selection pipeline's [`Parallelism`] knob and produces bit-identical
-//! results to the sequential path (the time-monotonicity check runs as an
-//! order-preserving merge pass in both).
+//! tags), any frame range decodes independently: [`decode_frame_range`]
+//! is the building block, [`decode_stream`] decodes a whole stream with
+//! it and then runs the stream-wide time-monotonicity pass
+//! ([`monotonize_events`]). A live ingest session calls the same two
+//! functions chunk by chunk as bytes arrive.
 
-use pstrace_core::Parallelism;
 use pstrace_flow::{FlowIndex, IndexedMessage};
 
 use crate::bits::BitReader;
@@ -219,22 +218,12 @@ fn read_frame(schema: &WireSchema, r: &mut BitReader<'_>) -> RawFrame {
     })
 }
 
-/// Raw per-chunk decode output, before the monotonicity merge pass.
-#[derive(Debug, Default)]
-struct ChunkOutcome {
-    /// `(frame index, record)` pairs in stream order.
-    events: Vec<(usize, WireRecord)>,
-    damaged: Vec<DamagedFrame>,
-    idle: usize,
-}
-
 /// Raw decode of a frame range: per-frame outcomes **before** the
 /// stream-wide time-monotonicity pass.
 ///
 /// This is the chunk-boundary building block consumers with their own
 /// stream state (e.g. a live ingest session holding records back for
-/// spike reclassification) use to decode frames as they land without
-/// borrowing a [`StreamDecoder`]'s schema lifetime.
+/// spike reclassification) use to decode frames as they land.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrameRange {
     /// `(absolute frame index, record)` pairs, in stream order.
@@ -276,30 +265,13 @@ pub fn decode_frame_range(
         (start as u64 + count as u64) * frame_bits <= bit_len,
         "frame range runs past the declared stream end"
     );
-    let out = decode_chunk(schema, bytes, bit_len, start, count);
-    FrameRange {
-        events: out.events,
-        damaged: out.damaged,
-        idle_frames: out.idle,
-    }
-}
-
-/// Decodes `count` frames starting at frame `start`.
-fn decode_chunk(
-    schema: &WireSchema,
-    bytes: &[u8],
-    bit_len: u64,
-    start: usize,
-    count: usize,
-) -> ChunkOutcome {
-    let frame_bits = u64::from(schema.frame_bits());
     let mut r = BitReader::new(bytes, bit_len);
     r.seek(start as u64 * frame_bits);
-    let mut out = ChunkOutcome::default();
+    let mut out = FrameRange::default();
     for i in 0..count {
         let frame = start + i;
         match read_frame(schema, &mut r) {
-            RawFrame::Idle => out.idle += 1,
+            RawFrame::Idle => out.idle_frames += 1,
             RawFrame::Event(rec) => out.events.push((frame, rec)),
             RawFrame::Damaged(reason) => out.damaged.push(DamagedFrame { frame, reason }),
         }
@@ -357,31 +329,6 @@ pub fn monotonize_events(
     kept
 }
 
-/// Assemble the report from per-frame outcomes: run [`monotonize_events`],
-/// sort the damage list, fill in the stream-level fields. Identical for
-/// sequential and chunked decodes.
-fn finalize(
-    schema: &WireSchema,
-    outcome: ChunkOutcome,
-    frames: usize,
-    trailing_bits: u64,
-    tail_clean: bool,
-) -> DecodeReport {
-    let mut damaged = outcome.damaged;
-    let kept = monotonize_events(outcome.events, &mut damaged);
-    damaged.sort_by_key(|d| d.frame);
-    DecodeReport {
-        records: kept.into_iter().map(|(_, r)| r).collect(),
-        damaged,
-        frames,
-        idle_frames: outcome.idle,
-        trailing_bits,
-        tail_clean,
-        occupied_bits: schema.occupied_bits(),
-        body_width: schema.body_width(),
-    }
-}
-
 /// Whether every bit in `bytes[bit_start .. bit_end)` is zero.
 fn bits_are_zero(bytes: &[u8], bit_start: u64, bit_end: u64) -> bool {
     let mut r = BitReader::new(bytes, bit_end);
@@ -397,140 +344,36 @@ fn bits_are_zero(bytes: &[u8], bit_start: u64, bit_end: u64) -> bool {
     true
 }
 
-/// Decodes a complete stream sequentially.
+/// Decodes a complete stream.
 ///
 /// `bit_len` is the exact stream length in bits when known (e.g. from a
 /// `.ptw` header); pass `None` to treat the whole byte slice as the
 /// stream (trailing sub-byte padding is then expected to be zero).
+///
+/// # Panics
+///
+/// Panics when `bit_len` exceeds the byte buffer.
 #[must_use]
 pub fn decode_stream(schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-    decode_stream_chunked(schema, bytes, bit_len, Parallelism::Off)
-}
-
-/// [`decode_stream`] with the frame range fanned out across worker
-/// threads. Any [`Parallelism`] setting yields bit-identical reports; the
-/// knob only trades wall-clock for cores.
-#[must_use]
-pub fn decode_stream_chunked(
-    schema: &WireSchema,
-    bytes: &[u8],
-    bit_len: Option<u64>,
-    parallelism: Parallelism,
-) -> DecodeReport {
     let bit_len = bit_len.unwrap_or(bytes.len() as u64 * 8);
-    assert!(
-        bit_len <= bytes.len() as u64 * 8,
-        "declared bit length exceeds the byte buffer"
-    );
     let frame_bits = u64::from(schema.frame_bits());
     let frames = (bit_len / frame_bits) as usize;
+    let range = decode_frame_range(schema, bytes, bit_len, 0, frames);
     let trailing_bits = bit_len - frames as u64 * frame_bits;
     let tail_clean =
         trailing_bits == 0 || bits_are_zero(bytes, frames as u64 * frame_bits, bit_len);
-
-    let workers = parallelism.worker_count(frames);
-    let merged = if workers <= 1 || frames == 0 {
-        decode_chunk(schema, bytes, bit_len, 0, frames)
-    } else {
-        let per = frames.div_ceil(workers);
-        let mut chunks: Vec<ChunkOutcome> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            while start < frames {
-                let count = per.min(frames - start);
-                handles
-                    .push(scope.spawn(move || decode_chunk(schema, bytes, bit_len, start, count)));
-                start += count;
-            }
-            for h in handles {
-                chunks.push(h.join().expect("decode worker panicked"));
-            }
-        });
-        let mut merged = ChunkOutcome::default();
-        for mut c in chunks {
-            merged.events.append(&mut c.events);
-            merged.damaged.append(&mut c.damaged);
-            merged.idle += c.idle;
-        }
-        merged
-    };
-    finalize(schema, merged, frames, trailing_bits, tail_clean)
-}
-
-/// Incremental decoder: feed bytes as they arrive, harvest the report at
-/// the end. Complete frames are decoded as soon as their last byte lands.
-#[derive(Debug)]
-pub struct StreamDecoder<'a> {
-    schema: &'a WireSchema,
-    buf: Vec<u8>,
-    /// Frames fully decoded so far.
-    frames: usize,
-    outcome: ChunkOutcome,
-}
-
-impl<'a> StreamDecoder<'a> {
-    /// A decoder over `schema` with an empty buffer.
-    #[must_use]
-    pub fn new(schema: &'a WireSchema) -> Self {
-        StreamDecoder {
-            schema,
-            buf: Vec::new(),
-            frames: 0,
-            outcome: ChunkOutcome::default(),
-        }
-    }
-
-    /// Feeds more stream bytes, decoding every frame they complete.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-        let frame_bits = u64::from(self.schema.frame_bits());
-        let avail = self.buf.len() as u64 * 8;
-        let ready = (avail / frame_bits) as usize;
-        if ready > self.frames {
-            let mut chunk = decode_chunk(
-                self.schema,
-                &self.buf,
-                avail,
-                self.frames,
-                ready - self.frames,
-            );
-            self.outcome.events.append(&mut chunk.events);
-            self.outcome.damaged.append(&mut chunk.damaged);
-            self.outcome.idle += chunk.idle;
-            self.frames = ready;
-        }
-    }
-
-    /// Frames fully decoded so far.
-    #[must_use]
-    pub fn frames_decoded(&self) -> usize {
-        self.frames
-    }
-
-    /// Records reconstructed so far (before the final monotonicity pass).
-    #[must_use]
-    pub fn records_decoded(&self) -> usize {
-        self.outcome.events.len()
-    }
-
-    /// Finishes the stream and produces the report. `bit_len` bounds the
-    /// stream exactly when known; defaults to every byte pushed.
-    #[must_use]
-    pub fn finish(self, bit_len: Option<u64>) -> DecodeReport {
-        let frame_bits = u64::from(self.schema.frame_bits());
-        let avail = self.buf.len() as u64 * 8;
-        let bit_len = bit_len.unwrap_or(avail).min(avail);
-        let frames = ((bit_len / frame_bits) as usize).min(self.frames);
-        let trailing_bits = bit_len - frames as u64 * frame_bits;
-        let tail_clean =
-            trailing_bits == 0 || bits_are_zero(&self.buf, frames as u64 * frame_bits, bit_len);
-        let mut outcome = self.outcome;
-        // Drop frames decoded past the declared stream end (possible when
-        // a caller-declared bit_len undercuts the pushed bytes).
-        outcome.events.retain(|(f, _)| *f < frames);
-        outcome.damaged.retain(|d| d.frame < frames);
-        finalize(self.schema, outcome, frames, trailing_bits, tail_clean)
+    let mut damaged = range.damaged;
+    let kept = monotonize_events(range.events, &mut damaged);
+    damaged.sort_by_key(|d| d.frame);
+    DecodeReport {
+        records: kept.into_iter().map(|(_, r)| r).collect(),
+        damaged,
+        frames,
+        idle_frames: range.idle_frames,
+        trailing_bits,
+        tail_clean,
+        occupied_bits: schema.occupied_bits(),
+        body_width: schema.body_width(),
     }
 }
 
@@ -626,30 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_decode_is_bit_identical() {
-        let (c, schema) = setup();
-        let recs = records(&c, 101);
-        let stream = encode_records(&schema, &recs, None).unwrap();
-        let seq = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
-        for threads in [1, 2, 3, 8] {
-            let par = decode_stream_chunked(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                Parallelism::threads(threads),
-            );
-            assert_eq!(par, seq, "{threads} threads");
-        }
-        let auto = decode_stream_chunked(
-            &schema,
-            &stream.bytes,
-            Some(stream.bit_len),
-            Parallelism::Auto,
-        );
-        assert_eq!(auto, seq);
-    }
-
-    #[test]
     fn corrupt_tag_is_flagged_and_resynced() {
         let (c, schema) = setup();
         let recs = records(&c, 9);
@@ -717,25 +536,6 @@ mod tests {
         assert_eq!(report.idle_frames, 3);
         assert!(report.records.is_empty());
         assert!(report.is_clean());
-    }
-
-    #[test]
-    fn incremental_push_matches_one_shot() {
-        let (c, schema) = setup();
-        let recs = records(&c, 40);
-        let stream = encode_records(&schema, &recs, None).unwrap();
-        let one_shot = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
-        for chunk_size in [1usize, 3, 7, 64] {
-            let mut dec = StreamDecoder::new(&schema);
-            for chunk in stream.bytes.chunks(chunk_size) {
-                dec.push(chunk);
-            }
-            assert_eq!(
-                dec.finish(Some(stream.bit_len)),
-                one_shot,
-                "chunk {chunk_size}"
-            );
-        }
     }
 
     #[test]

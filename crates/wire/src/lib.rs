@@ -11,11 +11,12 @@
 //! * [`Encoder`] serializes captured records into fixed-width frames
 //!   through a [`FrameRing`] that models the on-chip circular buffer
 //!   (wraparound overwrites the oldest frames);
-//! * [`StreamDecoder`] / [`decode_stream`] reconstruct the capture
-//!   incrementally, tolerate corrupted frames via tag-based
-//!   resynchronization at frame boundaries, and report per-frame buffer
-//!   utilization *as measured* — the experimental counterpart of the
-//!   analytic `TraceBufferSpec::utilization` model;
+//! * [`decode_stream`] reconstructs the capture, tolerates corrupted
+//!   frames via tag-based resynchronization at frame boundaries, and
+//!   reports per-frame buffer utilization *as measured* — the
+//!   experimental counterpart of the analytic
+//!   `TraceBufferSpec::utilization` model; [`decode_frame_range`] is its
+//!   building block, which a live session calls chunk by chunk;
 //! * [`write_ptw`] / [`read_ptw`] wrap a stream in the self-describing
 //!   `.ptw` container for on-disk exchange.
 //!
@@ -37,8 +38,8 @@ mod schema;
 
 pub use bits::{BitReader, BitWriter};
 pub use decode::{
-    decode_frame_range, decode_stream, decode_stream_chunked, monotonize_events, DamageReason,
-    DamagedFrame, DecodeReport, FrameRange, StreamDecoder,
+    decode_frame_range, decode_stream, monotonize_events, DamageReason, DamagedFrame, DecodeReport,
+    FrameRange,
 };
 pub use error::WireError;
 pub use frame::{encode_records, EncodedStream, Encoder, FrameRing, WireRecord};

@@ -2,10 +2,7 @@
 
 use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
-use pstrace_wire::{
-    decode_stream, decode_stream_chunked, encode_records, read_ptw, write_ptw, WireRecord,
-    WireSchema,
-};
+use pstrace_wire::{decode_stream, encode_records, read_ptw, write_ptw, WireRecord, WireSchema};
 use std::sync::Arc;
 
 /// A small catalog with three full messages and two subgroup parents.
@@ -60,7 +57,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// decode(encode(records)) is the identity on every valid record
-    /// stream, sequentially and chunked, with and without circular depth.
+    /// stream, with and without circular depth.
     #[test]
     fn round_trip_is_identity(
         parts in proptest::collection::vec((any::<u8>(), 0u64..50, any::<u8>(), any::<u64>()), 0..120),
@@ -85,15 +82,6 @@ proptest! {
         let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
         prop_assert!(report.is_clean());
         prop_assert_eq!(&report.records, &survivors);
-        for threads in [2usize, 5] {
-            let par = decode_stream_chunked(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                pstrace_core::Parallelism::threads(threads),
-            );
-            prop_assert_eq!(&par, &report);
-        }
     }
 
     /// Random single-bit corruption never panics the decoder and never

@@ -33,6 +33,13 @@ run cargo test -q --locked --workspace
 run cargo test -q --locked --test stream_smoke
 run cargo bench --no-run --locked --workspace
 
+# Ingest benchmark smoke: ingestbench is its own package (not a workspace
+# member), so build it against the library crates here. It exits nonzero
+# on any report mismatch or failed session; --locked fails a change that
+# would need its lockfile refreshed.
+run cargo run --release --quiet --offline --locked --manifest-path ingestbench/Cargo.toml -- \
+    --workload captures --seed 1 --seconds 2 --trace 0
+
 # v2 dialect smoke: the compressed-profile round-trip and corruption
 # proptests (codec crate), plus the v2 cases of the acceptance suites —
 # one flipped bit stays bounded to a sync window, live daemon included.

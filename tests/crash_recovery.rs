@@ -29,6 +29,19 @@ struct Capture {
     payload: Vec<u8>,
 }
 
+impl Capture {
+    /// The scenario-1 prefix-mode hello for this capture.
+    fn hello(&self, tenant: u32, trace: u64) -> proto::Hello {
+        proto::Hello {
+            scenario: 1,
+            mode: MatchMode::Prefix,
+            tenant,
+            trace,
+            schema: self.schema.clone(),
+        }
+    }
+}
+
 fn capture(records: usize) -> Capture {
     let model = SocModel::t2();
     let scenario = UsageScenario::scenario1();
@@ -101,7 +114,7 @@ fn durable_config(dir: &Path) -> ServerConfig {
 /// final report text.
 fn run_resumable(server: &Server, cap: &Capture) -> String {
     let mut s = connect(server);
-    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+    proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, 0)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (_token, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert_eq!(offset, 0);
@@ -150,7 +163,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&first);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+        proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, 0)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0);
@@ -191,17 +204,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
 
     let resumed = {
         let mut s = connect(&second);
-        proto::write_resume_hello_as(
-            &mut s,
-            token,
-            epoch,
-            1,
-            MatchMode::Prefix,
-            0,
-            0,
-            &cap.schema,
-        )
-        .unwrap();
+        proto::write_resume_hello(&mut s, token, epoch, &cap.hello(0, 0)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, acked_epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token, "resume ack changed the token");
@@ -237,7 +240,7 @@ fn foreign_lineage_tokens_are_shed_with_a_typed_epoch_rejection() {
     let a = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir_a)).unwrap();
     let (token, epoch) = {
         let mut s = connect(&a);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+        proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, 0)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         (token, epoch)
@@ -254,17 +257,7 @@ fn foreign_lineage_tokens_are_shed_with_a_typed_epoch_rejection() {
         "distinct WAL lineages mint distinct epochs"
     );
     let mut s = connect(&b);
-    proto::write_resume_hello_as(
-        &mut s,
-        token,
-        epoch,
-        1,
-        MatchMode::Prefix,
-        0,
-        0,
-        &cap.schema,
-    )
-    .unwrap();
+    proto::write_resume_hello(&mut s, token, epoch, &cap.hello(0, 0)).unwrap();
     let err = proto::read_reply(&mut s).expect_err("foreign token must be rejected");
     let msg = err.to_string();
     assert!(

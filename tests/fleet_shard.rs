@@ -26,6 +26,19 @@ struct Capture {
     payload: Vec<u8>,
 }
 
+impl Capture {
+    /// The scenario-1 prefix-mode hello for this capture.
+    fn hello(&self, tenant: u32, trace: u64) -> proto::Hello {
+        proto::Hello {
+            scenario: 1,
+            mode: MatchMode::Prefix,
+            tenant,
+            trace,
+            schema: self.schema.clone(),
+        }
+    }
+}
+
 fn capture(records: usize) -> Capture {
     let model = SocModel::t2();
     let scenario = UsageScenario::scenario1();
@@ -81,7 +94,7 @@ fn connect(server: &Server) -> TcpStream {
 /// final report text.
 fn run_resumable(server: &Server, cap: &Capture) -> String {
     let mut s = connect(server);
-    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+    proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, 0)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (_token, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert_eq!(offset, 0);
@@ -136,7 +149,7 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+        proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, 0)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0, "fresh resumable session got token {token}");
@@ -161,17 +174,7 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
     // owner — the daemon must hand it off, not lose it.
     let resumed = {
         let mut s = connect(&server);
-        proto::write_resume_hello_as(
-            &mut s,
-            token,
-            epoch,
-            1,
-            MatchMode::Prefix,
-            0,
-            0,
-            &cap.schema,
-        )
-        .unwrap();
+        proto::write_resume_hello(&mut s, token, epoch, &cap.hello(0, 0)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, _) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token, "resume ack changed the token");
@@ -219,7 +222,7 @@ fn over_quota_tenants_are_shed_deterministically() {
     // Tenant 7 occupies its whole quota with one in-flight session:
     // hello acked, payload half-sent, connection held open.
     let mut held = connect(&server);
-    proto::write_resume_hello_as(&mut held, 0, 0, 1, MatchMode::Prefix, 7, 0, &cap.schema).unwrap();
+    proto::write_resume_hello(&mut held, 0, 0, &cap.hello(7, 0)).unwrap();
     let ack = proto::read_reply(&mut held).unwrap();
     proto::parse_resume_ack(&ack).unwrap();
 
@@ -240,7 +243,7 @@ fn over_quota_tenants_are_shed_deterministically() {
         // per-tenant by running tenant 7 raw instead.
         err.expect("tenant 0 is under quota and must be served");
         let mut s = connect(&server);
-        proto::write_hello_as(&mut s, 1, MatchMode::Prefix, 7, 0, &cap.schema).unwrap();
+        proto::write_hello(&mut s, &cap.hello(7, 0)).unwrap();
         s.flush().unwrap();
         let verdict = proto::read_reply(&mut s);
         let msg = verdict.expect_err("tenant 7 is at quota").to_string();

@@ -40,6 +40,19 @@ struct Capture {
     payload: Vec<u8>,
 }
 
+impl Capture {
+    /// The scenario-1 prefix-mode hello for this capture.
+    fn hello(&self, tenant: u32, trace: u64) -> proto::Hello {
+        proto::Hello {
+            scenario: 1,
+            mode: MatchMode::Prefix,
+            tenant,
+            trace,
+            schema: self.schema.clone(),
+        }
+    }
+}
+
 fn capture(records: usize) -> Capture {
     let model = SocModel::t2();
     let scenario = UsageScenario::scenario1();
@@ -123,8 +136,7 @@ fn trace_context_follows_a_session_across_reconnect_and_shards() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_resume_hello_as(&mut s, 0, 0, 1, MatchMode::Prefix, 0, TRACE, &cap.schema)
-            .unwrap();
+        proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, TRACE)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0);
@@ -146,17 +158,7 @@ fn trace_context_follows_a_session_across_reconnect_and_shards() {
     // the token's owner: a cross-shard handoff.
     {
         let mut s = connect(&server);
-        proto::write_resume_hello_as(
-            &mut s,
-            token,
-            epoch,
-            1,
-            MatchMode::Prefix,
-            0,
-            TRACE,
-            &cap.schema,
-        )
-        .unwrap();
+        proto::write_resume_hello(&mut s, token, epoch, &cap.hello(0, TRACE)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, _) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token);
@@ -245,8 +247,7 @@ fn recovery_is_journaled_as_fr_recover_events() {
     let first = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
     {
         let mut s = connect(&first);
-        proto::write_resume_hello_as(&mut s, 0, 0, 1, MatchMode::Prefix, 0, TRACE, &cap.schema)
-            .unwrap();
+        proto::write_resume_hello(&mut s, 0, 0, &cap.hello(0, TRACE)).unwrap();
         proto::read_reply(&mut s).unwrap();
         for piece in cap.payload[..cap.payload.len() / 2].chunks(64) {
             proto::write_data(&mut s, piece).unwrap();

@@ -278,7 +278,14 @@ fn garbage_handshake_is_rejected_and_the_daemon_survives() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    proto::write_hello(&mut writer, 1, MatchMode::Prefix, b"this is not a schema").unwrap();
+    let hello = proto::Hello {
+        scenario: 1,
+        mode: MatchMode::Prefix,
+        tenant: 0,
+        trace: 0,
+        schema: b"this is not a schema".to_vec(),
+    };
+    proto::write_hello(&mut writer, &hello).unwrap();
     let err = proto::read_reply(&mut reader).expect_err("server rejects garbage schema");
     assert!(
         matches!(err, StreamError::Remote(_)),

@@ -8,12 +8,11 @@
 //!   subgroup bits included;
 //! * a corrupted frame is flagged and decoding resynchronizes at the next
 //!   frame boundary instead of crashing or cascading;
-//! * the chunked decoder is bit-identical to the sequential one;
 //! * the `.ptw` container survives a disk round trip.
 
 use pstrace::codec::{ProfileV2, DEFAULT_SYNC_EVERY};
 use pstrace::faults::{corrupt_wire, FaultLedger, FaultPlan};
-use pstrace::select::{Parallelism, SelectionConfig, Selector, TraceBufferSpec};
+use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::wirecap;
 use pstrace::soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_rng::Rng64;
@@ -62,12 +61,8 @@ fn every_scenario_round_trips_bit_identically() {
             let direct = capture(&model, &out, &config);
             let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
                 .expect("records fit the schema");
-            let (decoded, report) = wirecap::decode_capture(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                Parallelism::Off,
-            );
+            let (decoded, report) =
+                wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len));
             assert!(
                 report.is_clean(),
                 "{}: {:?}",
@@ -96,12 +91,7 @@ fn measured_utilization_matches_the_analytic_model() {
         let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(7)).run();
         let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
             .expect("records fit the schema");
-        let (_, report) = wirecap::decode_capture(
-            &schema,
-            &stream.bytes,
-            Some(stream.bit_len),
-            Parallelism::Off,
-        );
+        let (_, report) = wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len));
         assert!(
             (report.utilization() - modeled).abs() < 1e-12,
             "{}: measured {} != modeled {}",
@@ -139,8 +129,7 @@ fn corrupted_frame_is_flagged_and_decoding_resyncs() {
         *b = !*b;
     }
 
-    let (decoded, report) =
-        wirecap::decode_capture(&schema, &bytes, Some(stream.bit_len), Parallelism::Off);
+    let (decoded, report) = wirecap::decode_capture(&schema, &bytes, Some(stream.bit_len));
     assert!(!report.is_clean(), "the damage must be flagged");
     assert!(
         report.damaged.iter().any(|d| d.frame == victim),
@@ -162,32 +151,6 @@ fn corrupted_frame_is_flagged_and_decoding_resyncs() {
             direct_records.contains(r),
             "decoder invented a record: {r:?}"
         );
-    }
-}
-
-#[test]
-fn chunked_decode_is_bit_identical_to_sequential() {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario3();
-    let (config, schema, _) = selection_setup(&model, &scenario, None);
-    let out = Simulator::new(&model, scenario, SimConfig::with_seed(99)).run();
-    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
-        .expect("records fit the schema");
-    let (seq_trace, seq_report) = wirecap::decode_capture(
-        &schema,
-        &stream.bytes,
-        Some(stream.bit_len),
-        Parallelism::Off,
-    );
-    for parallelism in [
-        Parallelism::Auto,
-        Parallelism::threads(2),
-        Parallelism::threads(7),
-    ] {
-        let (trace, report) =
-            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), parallelism);
-        assert_eq!(trace, seq_trace, "{parallelism:?}");
-        assert_eq!(report, seq_report, "{parallelism:?}");
     }
 }
 
@@ -386,12 +349,8 @@ fn ptw_container_survives_the_disk() {
     let (schema2, stream2) = wirecap::read_ptw(model.catalog(), &bytes).expect("valid container");
     assert_eq!(schema2, schema);
     assert_eq!(stream2, stream);
-    let (decoded, report) = wirecap::decode_capture(
-        &schema2,
-        &stream2.bytes,
-        Some(stream2.bit_len),
-        Parallelism::Auto,
-    );
+    let (decoded, report) =
+        wirecap::decode_capture(&schema2, &stream2.bytes, Some(stream2.bit_len));
     assert!(report.is_clean());
     assert_eq!(decoded, direct);
 }
