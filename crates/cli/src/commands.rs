@@ -879,8 +879,7 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
     }
     let endpoint = match args.option("metrics-addr") {
         Some(addr) => {
-            let endpoint =
-                pstrace_stream::MetricsEndpoint::spawn_merged(addr, server.registries())?;
+            let endpoint = pstrace_stream::MetricsEndpoint::spawn(addr, server.registries())?;
             println!("metrics on http://{}/metrics", endpoint.local_addr());
             Some(endpoint)
         }

@@ -232,7 +232,10 @@ pub enum Sample {
     },
 }
 
-/// The metric and span registry. See the [module docs](self).
+/// The metric and span registry: named atomic counters, gauges and
+/// fixed-bucket histograms, plus recorded spans. There is no process-wide
+/// singleton — construct one per run, daemon or test and share it via
+/// `Arc`.
 #[derive(Debug)]
 pub struct Registry {
     clock: Box<dyn Clock>,

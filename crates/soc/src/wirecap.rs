@@ -4,8 +4,8 @@
 //! level (what survives), this module runs the same filtering through the
 //! bit-level wire codec of `pstrace-wire`: events become fixed-width
 //! frames in a circular frame ring, and decoding the ring's read-out
-//! reconstructs the capture. The two paths share
-//! [`record_for_event`](crate::trace::record_for_event), so for any
+//! reconstructs the capture. The two paths share one record builder
+//! (the private `trace::record_for_event`), so for any
 //! simulation and configuration
 //! `decode(encode(events)) == capture(events)` bit-for-bit — including
 //! circular truncation to the newest `depth` records.

@@ -21,9 +21,8 @@
 //!   own nonblocking connection table (no locks on the ingest hot
 //!   path), resume tokens encode their owning shard so reconnects are
 //!   handed off rather than lost, per-tenant quotas and a global
-//!   session cap shed overload politely, per-session ingest budgets
-//!   ([`SessionLimits`]) and handshake deadlines bound each session,
-//!   per-shard registries merge into one exposition
+//!   session cap shed overload politely, handshake deadlines bound
+//!   each request preamble, per-shard registries merge into one exposition
 //!   ([`pstrace_obs::merged_samples`]), and shutdown — including the v4
 //!   `SHUTDOWN` verb — drains every shard;
 //! * [`MetricsEndpoint`] — an HTTP/1.0 scrape endpoint over the same
@@ -68,12 +67,10 @@ mod wal;
 
 /// The durability layer: WAL writing, checkpoints, and crash recovery.
 pub mod durable {
-    pub use crate::recover::{
-        recover_state, render_dry_run, RecoverError, RecoveredSession, RecoveredState,
-    };
+    pub use crate::recover::{recover_state, render_dry_run, RecoverError, RecoveredState};
     pub use crate::wal::{
         checkpoint_path, crash_armed, decode_entry, encode_entry, epoch_path, fresh_epoch,
-        mint_epoch, wal_path, write_checkpoint, CheckpointSession, DurabilityPolicy, WalRecord,
+        mint_epoch, wal_path, write_checkpoint, DurabilityPolicy, SessionRecord, WalRecord,
         WalWriter, CRASH_POINTS, SCHEMA_CHUNK_BYTES, WAL_BODY_BYTES, WAL_ENTRY_BYTES,
     };
 }
@@ -84,8 +81,5 @@ pub use client::{
 };
 pub use error::StreamError;
 pub use metrics::MetricsEndpoint;
-pub use server::{
-    scenario_by_number, snapshot_from, Server, ServerConfig, SessionLimits, StatsSnapshot,
-    DEFAULT_WAL_BUDGET,
-};
+pub use server::{scenario_by_number, Server, ServerConfig, StatsSnapshot, DEFAULT_WAL_BUDGET};
 pub use session::{observed_messages, Session, SessionMetrics, SessionReport};

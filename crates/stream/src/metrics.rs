@@ -28,24 +28,14 @@ pub struct MetricsEndpoint {
 
 impl MetricsEndpoint {
     /// Binds `addr` and spawns the listener thread. Every connection is
-    /// answered with the current exposition of `registry` and closed.
+    /// answered with the *merged* exposition of `registries`
+    /// ([`pstrace_obs::merged_samples`]) and closed — the sharded
+    /// daemon's per-shard registries read as one.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn spawn(addr: impl ToSocketAddrs, registry: Arc<Registry>) -> io::Result<MetricsEndpoint> {
-        MetricsEndpoint::spawn_merged(addr, vec![registry])
-    }
-
-    /// Like [`MetricsEndpoint::spawn`] over several registries: every
-    /// scrape answers with the *merged* exposition
-    /// ([`pstrace_obs::merged_samples`]) — the aggregation path for the
-    /// sharded daemon, whose per-shard registries must read as one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_merged(
+    pub fn spawn(
         addr: impl ToSocketAddrs,
         registries: Vec<Arc<Registry>>,
     ) -> io::Result<MetricsEndpoint> {
@@ -143,8 +133,8 @@ mod tests {
     fn scrape_gets_a_text_response_with_the_exposition() {
         let registry = Arc::new(Registry::new());
         registry.counter("pstrace_stream_sessions_total").add(3);
-        let endpoint =
-            MetricsEndpoint::spawn("127.0.0.1:0", Arc::clone(&registry)).expect("bind endpoint");
+        let endpoint = MetricsEndpoint::spawn("127.0.0.1:0", vec![Arc::clone(&registry)])
+            .expect("bind endpoint");
         let addr = endpoint.local_addr();
 
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -15,7 +15,9 @@ use std::path::Path;
 
 use pstrace_codec::fnv32;
 
-use crate::wal::{checkpoint_path, decode_entry, epoch_path, wal_path, WalRecord, WAL_ENTRY_BYTES};
+use crate::wal::{
+    checkpoint_path, decode_entry, read_epoch, wal_path, SessionRecord, WalRecord, WAL_ENTRY_BYTES,
+};
 
 /// A damaged region found while replaying a WAL or checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,29 +63,6 @@ impl fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// One session rebuilt from the journal: everything needed to re-park it
-/// so its pre-crash resume token works again.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredSession {
-    /// The resume token the client holds.
-    pub token: u64,
-    /// The daemon-local session id it had.
-    pub session_id: u64,
-    /// The flight-recorder trace-context id.
-    pub trace: u64,
-    /// Usage scenario number.
-    pub scenario: u8,
-    /// Match-mode wire byte.
-    pub mode: u8,
-    /// Tenant id for quota re-admission.
-    pub tenant: u32,
-    /// The raw schema handshake bytes (checksum-verified).
-    pub schema: Vec<u8>,
-    /// Payload bytes the dead daemon had ingested (informational — the
-    /// recovered session acks offset 0 and the client resends).
-    pub bytes: u64,
-}
-
 /// Everything `Server::recover` learned from the WAL directory.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveredState {
@@ -92,7 +71,7 @@ pub struct RecoveredState {
     /// Resumable sessions, bucketed by the *current* shard count
     /// (`token % shard_count`), so recovery survives a shard-count
     /// change across restarts.
-    pub shards: Vec<Vec<RecoveredSession>>,
+    pub shards: Vec<Vec<SessionRecord>>,
     /// Good entries folded from checkpoints and WALs.
     pub replayed: u64,
     /// Damaged 64-byte windows skipped plus sessions dropped for schema
@@ -115,17 +94,13 @@ impl RecoveredState {
     }
 }
 
-#[derive(Debug, Default)]
+/// A session whose open group is still being folded: the record so far,
+/// plus the schema length and checksum its Open entry promised.
+#[derive(Debug)]
 struct Pending {
-    session_id: u64,
-    trace: u64,
-    scenario: u8,
-    mode: u8,
-    tenant: u32,
+    record: SessionRecord,
     schema_len: u32,
     schema_crc: u32,
-    schema: Vec<u8>,
-    bytes: u64,
 }
 
 /// Splits `bytes` into decoded entries, skipping damaged windows and
@@ -193,15 +168,18 @@ fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut Re
                 live.insert(
                     *token,
                     Pending {
-                        session_id: *session_id,
-                        trace: *trace,
-                        scenario: *scenario,
-                        mode: *mode,
-                        tenant: *tenant,
+                        record: SessionRecord {
+                            token: *token,
+                            session_id: *session_id,
+                            trace: *trace,
+                            scenario: *scenario,
+                            mode: *mode,
+                            tenant: *tenant,
+                            schema: Vec::with_capacity(*schema_len as usize),
+                            bytes: 0,
+                        },
                         schema_len: *schema_len,
                         schema_crc: *schema_crc,
-                        schema: Vec::with_capacity(*schema_len as usize),
-                        bytes: 0,
                     },
                 );
             }
@@ -214,14 +192,14 @@ fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut Re
                     // Only in-order chunks extend the schema; a gap means
                     // an earlier chunk was damaged and the checksum gate
                     // below will drop the session.
-                    if *offset as usize == p.schema.len() {
-                        p.schema.extend_from_slice(data);
+                    if *offset as usize == p.record.schema.len() {
+                        p.record.schema.extend_from_slice(data);
                     }
                 }
             }
             WalRecord::Park { token, bytes } => {
                 if let Some(p) = live.get_mut(token) {
-                    p.bytes = *bytes;
+                    p.record.bytes = *bytes;
                 }
             }
             // A resumed session is still live: if it finished there will
@@ -246,19 +224,10 @@ fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut Re
 pub fn recover_state(dir: &Path, shard_count: usize) -> RecoveredState {
     let shard_count = shard_count.max(1);
     let mut state = RecoveredState {
+        epoch: read_epoch(dir).unwrap_or(0),
         shards: vec![Vec::new(); shard_count],
         ..RecoveredState::default()
     };
-    let epoch_file = epoch_path(dir);
-    if let Ok(bytes) = std::fs::read(&epoch_file) {
-        if bytes.len() >= WAL_ENTRY_BYTES {
-            let mut e = [0u8; WAL_ENTRY_BYTES];
-            e.copy_from_slice(&bytes[..WAL_ENTRY_BYTES]);
-            if let Ok((_, WalRecord::Epoch { epoch, .. })) = decode_entry(&e, &epoch_file, 0) {
-                state.epoch = epoch;
-            }
-        }
-    }
 
     // Old lives may have run with a different shard count, so scan every
     // journal the directory holds, not just 0..shard_count.
@@ -299,23 +268,15 @@ pub fn recover_state(dir: &Path, shard_count: usize) -> RecoveredState {
     }
 
     for (token, p) in live {
-        if p.schema.len() as u32 != p.schema_len || fnv32(&p.schema) != p.schema_crc {
+        let schema = &p.record.schema;
+        if schema.len() as u32 != p.schema_len || fnv32(schema) != p.schema_crc {
             // The open group lost a chunk to damage; the session cannot
             // be rebuilt faithfully, so drop it rather than guess.
             state.skipped += 1;
             continue;
         }
         let shard = (token % shard_count as u64) as usize;
-        state.shards[shard].push(RecoveredSession {
-            token,
-            session_id: p.session_id,
-            trace: p.trace,
-            scenario: p.scenario,
-            mode: p.mode,
-            tenant: p.tenant,
-            schema: p.schema,
-            bytes: p.bytes,
-        });
+        state.shards[shard].push(p.record);
     }
     state
 }
@@ -350,7 +311,10 @@ pub fn render_dry_run(dir: &Path, state: &RecoveredState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{encode_entry, CheckpointSession, DurabilityPolicy, WalWriter};
+    use crate::wal::{
+        encode_entry, write_checkpoint, DurabilityPolicy, WalWriter, SCHEMA_CHUNK_BYTES,
+    };
+    use pstrace_diag::MatchMode;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -418,12 +382,12 @@ mod tests {
         // Rotation writes the checkpoint but the same Open also stays in
         // the WAL when the truncate is interrupted — recovery must not
         // double-count.
-        crate::wal::write_checkpoint(
+        write_checkpoint(
             &dir,
             0,
             1,
             5,
-            &[CheckpointSession {
+            &[SessionRecord {
                 token: 7,
                 session_id: 7,
                 trace: 0x107,
@@ -439,6 +403,55 @@ mod tests {
         let state = recover_state(&dir, 1);
         assert_eq!(state.sessions(), 1);
         assert_eq!(state.shards[0][0].token, 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpointed_records_recover_exactly() {
+        let dir = tmp_dir("exact");
+        std::fs::create_dir_all(&dir).unwrap();
+        let modes = [
+            MatchMode::Exact,
+            MatchMode::Prefix,
+            MatchMode::Suffix,
+            MatchMode::Substring,
+        ];
+        let schema_lens = [
+            1,
+            SCHEMA_CHUNK_BYTES,
+            SCHEMA_CHUNK_BYTES + 1,
+            3 * SCHEMA_CHUNK_BYTES + 5,
+        ];
+        // Tokens 2..=5: even tokens belong to shard 0 of two, odd ones to
+        // shard 1 (`token % shard_count`).
+        let records: Vec<SessionRecord> = (2u64..)
+            .zip(modes.into_iter().zip(schema_lens))
+            .map(|(token, (mode, len))| SessionRecord {
+                token,
+                session_id: 10 + token,
+                trace: 0xfeed_0000 + token,
+                scenario: token as u8 - 1,
+                mode: crate::proto::mode_to_byte(mode),
+                tenant: 40 + token as u32,
+                schema: vec![token as u8; len],
+                bytes: 1000 * token + 7,
+            })
+            .collect();
+        let on_shard = |shard: u64| -> Vec<SessionRecord> {
+            records
+                .iter()
+                .filter(|r| r.token % 2 == shard)
+                .cloned()
+                .collect()
+        };
+        write_checkpoint(&dir, 0, 2, 5, &on_shard(0)).unwrap();
+        write_checkpoint(&dir, 1, 2, 5, &on_shard(1)).unwrap();
+
+        let state = recover_state(&dir, 2);
+        assert!(state.errors.is_empty(), "{:?}", state.errors);
+        assert_eq!(state.skipped, 0);
+        assert_eq!(state.shards, vec![on_shard(0), on_shard(1)]);
+        assert_eq!((state.max_token, state.max_session_id), (5, 15));
         std::fs::remove_dir_all(&dir).ok();
     }
 

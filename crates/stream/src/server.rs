@@ -31,9 +31,6 @@
 //! * **`worker-respawn`** — a panicking session is caught
 //!   (`catch_unwind`) and costs exactly its own connection; the panic is
 //!   counted in `pstrace_stream_worker_panics_total`.
-//! * **`budget-close`** — per-session byte/frame/record budgets
-//!   ([`SessionLimits`]) close over-limit sessions with a polite
-//!   status-1 reply instead of unbounded ingestion.
 //! * **`handshake-deadline`** — the request preamble must arrive within
 //!   [`ServerConfig::handshake_timeout`].
 //! * **`session-parked`** — when a resumable session's transport dies,
@@ -49,7 +46,7 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -58,62 +55,15 @@ use pstrace_obs::{
     DEFAULT_FLIGHT_CAPACITY,
 };
 use pstrace_soc::{SocModel, UsageScenario};
-use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
-use crate::proto::Hello;
 use crate::recover::{recover_state, RecoveredState};
-use crate::session::Session;
 use crate::shard::{run_shard, FleetCtx, ShardMsg, TenantGovernor};
 use crate::wal::{fresh_epoch, mint_epoch, DurabilityPolicy};
 
 /// Default per-shard WAL disk budget before a checkpoint-and-truncate
 /// rotation (bytes).
 pub const DEFAULT_WAL_BUDGET: u64 = 512 * 1024;
-
-/// Per-session ingest budgets. A session crossing any limit is closed
-/// with a polite status-1 reply (degradation path `budget-close`); the
-/// default is unlimited.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionLimits {
-    /// Maximum raw stream bytes a session may ingest.
-    pub max_bytes: Option<u64>,
-    /// Maximum complete frames a session may decode.
-    pub max_frames: Option<usize>,
-    /// Maximum records a session may commit.
-    pub max_records: Option<usize>,
-}
-
-impl SessionLimits {
-    /// The first exceeded budget, as a human-readable close message.
-    pub(crate) fn exceeded(&self, m: &crate::session::SessionMetrics) -> Option<String> {
-        if let Some(max) = self.max_bytes {
-            if m.bytes > max {
-                return Some(format!(
-                    "session exceeded its byte budget ({} > {max})",
-                    m.bytes
-                ));
-            }
-        }
-        if let Some(max) = self.max_frames {
-            if m.frames > max {
-                return Some(format!(
-                    "session exceeded its frame budget ({} > {max})",
-                    m.frames
-                ));
-            }
-        }
-        if let Some(max) = self.max_records {
-            if m.records > max {
-                return Some(format!(
-                    "session exceeded its record budget ({} > {max})",
-                    m.records
-                ));
-            }
-        }
-        None
-    }
-}
 
 /// Knobs of the daemon.
 #[derive(Debug, Clone)]
@@ -135,11 +85,6 @@ pub struct ServerConfig {
     /// How long a resumable session stays parked after transport death
     /// before its token expires.
     pub resume_grace: Duration,
-    /// How long a draining shard waits for in-flight sessions at
-    /// shutdown before it exits anyway.
-    pub drain_timeout: Duration,
-    /// Per-session ingest budgets.
-    pub limits: SessionLimits,
     /// Global cap on concurrent sessions; excess opens are shed with a
     /// polite rejection (`capacity-shed`). `None` = unlimited.
     pub max_sessions: Option<u64>,
@@ -147,9 +92,6 @@ pub struct ServerConfig {
     /// hello); over-quota opens are shed (`tenant-quota-shed`). `None` =
     /// unlimited.
     pub tenant_quota: Option<u64>,
-    /// Per-lane flight-recorder ring capacity (events). The recorder is
-    /// always on; this only sizes how much history a dump holds.
-    pub flight_capacity: usize,
     /// Where the flight journal spills as a `.ptw` v2 dump: on graceful
     /// shutdown, and automatically (debounced) whenever a degradation
     /// path fires. `None` = in-memory only, readable via
@@ -178,11 +120,8 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             handshake_timeout: Duration::from_secs(5),
             resume_grace: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(5),
-            limits: SessionLimits::default(),
             max_sessions: None,
             tenant_quota: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             flight_dump: None,
             durability: DurabilityPolicy::Off,
             wal_dir: None,
@@ -293,10 +232,12 @@ impl Server {
         // Crash-only startup: with durability on, mint (or re-read) the
         // WAL directory's epoch and replay whatever a previous life left
         // behind — a clean first boot and a post-SIGKILL restart are the
-        // same code path.
-        let durable = config.durability != DurabilityPolicy::Off;
-        let wal_dir = config.wal_dir.clone().filter(|_| durable);
-        let (epoch, recovered_state) = match &wal_dir {
+        // same code path. Durability off means no WAL at all.
+        let mut config = config.clone();
+        if config.durability == DurabilityPolicy::Off {
+            config.wal_dir = None;
+        }
+        let (epoch, recovered) = match &config.wal_dir {
             Some(dir) => {
                 let epoch = mint_epoch(dir)?;
                 let state = registry.time("stream-recover", || recover_state(dir, shard_count));
@@ -306,18 +247,9 @@ impl Server {
             // tokens from any other life are still rejected.
             None => (fresh_epoch(), None),
         };
-        let mut recovered: Vec<_> = (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-        let mut recovered_max_token = 0;
-        let mut session_seq_start = 1;
-        let mut recover_counts = None;
-        if let Some(state) = recovered_state {
-            recovered_max_token = state.max_token;
-            session_seq_start = state.max_session_id + 1;
-            recover_counts = Some((state.sessions() as u64, state.replayed, state.skipped));
-            for (slot, sessions) in recovered.iter_mut().zip(state.shards) {
-                *slot = Mutex::new(sessions);
-            }
-        }
+        let recover_counts = recovered
+            .as_ref()
+            .map(|state| (state.sessions() as u64, state.replayed, state.skipped));
         if let Some((restored, replayed, skipped)) = recover_counts {
             registry
                 .counter("pstrace_recover_sessions_total")
@@ -329,33 +261,32 @@ impl Server {
                 .counter("pstrace_recover_entries_skipped_total")
                 .add(skipped);
         }
+        let RecoveredState {
+            shards: recovered,
+            max_token,
+            max_session_id,
+            ..
+        } = recovered.unwrap_or_else(|| RecoveredState {
+            shards: vec![Vec::new(); shard_count],
+            ..RecoveredState::default()
+        });
 
         let ctx = Arc::new(FleetCtx {
+            governor: TenantGovernor::new(Arc::clone(&registry)),
+            config,
             model,
             registries,
             senders,
-            session_seq: AtomicU64::new(session_seq_start),
+            session_seq: AtomicU64::new(max_session_id + 1),
             shutdown: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            governor: TenantGovernor::new(
-                config.max_sessions,
-                config.tenant_quota,
-                Arc::clone(&registry),
-            ),
-            read_timeout: config.read_timeout,
-            handshake_timeout: config.handshake_timeout,
-            resume_grace: config.resume_grace,
-            drain_timeout: config.drain_timeout,
-            limits: config.limits,
-            flight: Arc::new(FlightRecorder::new(shard_count + 1, config.flight_capacity)),
-            flight_dump: config.flight_dump.clone(),
+            flight: Arc::new(FlightRecorder::new(
+                shard_count + 1,
+                DEFAULT_FLIGHT_CAPACITY,
+            )),
             flight_spill: AtomicU64::new(0),
             epoch,
-            durability: config.durability,
-            wal_dir,
-            wal_budget: config.wal_budget,
-            recovered,
-            recovered_max_token,
+            recovered_max_token: max_token,
         });
 
         // Lane-0 `fr-recover` events mark the crash/restart boundary in
@@ -370,12 +301,15 @@ impl Server {
                 .record(0, 0, skipped, EventKind::Recover, "entries-skipped");
         }
 
+        // Each shard takes (and re-parks) the sessions the replay rebuilt
+        // for it before its first tick.
         let shards = receivers
             .into_iter()
+            .zip(recovered)
             .enumerate()
-            .map(|(index, rx)| {
+            .map(|(index, (rx, sessions))| {
                 let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || run_shard(ctx, index, &rx))
+                std::thread::spawn(move || run_shard(ctx, index, &rx, sessions))
             })
             .collect();
 
@@ -511,9 +445,9 @@ impl Server {
         self.ctx.flight_dump_bytes().map_err(StreamError::from)
     }
 
-    /// Graceful shutdown: stop accepting, drain every shard (bounded by
-    /// [`ServerConfig::drain_timeout`]), join every thread. Returns the
-    /// final post-drain snapshot — the counters cannot move again.
+    /// Graceful shutdown: stop accepting, drain every shard (for at most
+    /// 5 s), join every thread. Returns the final post-drain snapshot —
+    /// the counters cannot move again.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.stop();
         self.snapshot()
@@ -571,13 +505,6 @@ fn fold_samples(samples: &[(MetricKey, Sample)]) -> StatsSnapshot {
     snap
 }
 
-/// Folds the daemon-level series out of a single `registry` (see
-/// [`Server::snapshot`], which folds the *merged* registries instead).
-#[must_use]
-pub fn snapshot_from(registry: &Registry) -> StatsSnapshot {
-    fold_samples(&registry.samples())
-}
-
 /// Resolves a protocol scenario number onto the modeled usage scenarios
 /// (the same numbering as the CLI's `--scenario`).
 ///
@@ -595,34 +522,4 @@ pub fn scenario_by_number(n: u8) -> Result<UsageScenario, StreamError> {
             "no scenario {other}; use 1-5"
         ))),
     }
-}
-
-/// Builds the session a hello asked for: scenario interleaving + schema
-/// rebuilt from the handshake bytes. The session records into `registry`
-/// under the `session_id` label.
-pub(crate) fn open_session(
-    model: &SocModel,
-    hello: &Hello,
-    registry: &Arc<Registry>,
-    session_id: u64,
-) -> Result<Session, StreamError> {
-    let scenario = scenario_by_number(hello.scenario)?;
-    let flow = scenario
-        .interleaving(model)
-        .map_err(|e| StreamError::Protocol(format!("scenario does not interleave: {e}")))?;
-    let (schema, meta, consumed) = read_ptw_header(model.catalog(), &hello.schema)?;
-    if consumed != hello.schema.len() {
-        return Err(StreamError::Protocol(format!(
-            "{} stray bytes after the schema handshake",
-            hello.schema.len() - consumed
-        )));
-    }
-    Ok(Session::observed_with_meta(
-        &flow,
-        schema,
-        meta,
-        hello.mode,
-        Arc::clone(registry),
-        session_id,
-    ))
 }

@@ -264,24 +264,11 @@ impl Session {
         self.flight = Some(flight);
     }
 
-    /// [`new`](Session::new) wired into a shared metric registry:
-    /// ingest/frame/record counters (aggregate and per-`session_id`),
-    /// per-reason damage counters, and the localizer's frontier gauges —
-    /// refreshed at every chunk boundary. Ingest results are identical
-    /// with and without a registry.
-    #[must_use]
-    pub fn observed(
-        flow: &InterleavedFlow,
-        schema: WireSchema,
-        mode: MatchMode,
-        registry: Arc<Registry>,
-        session_id: u64,
-    ) -> Self {
-        Session::observed_with_meta(flow, schema, PtwMeta::v1(), mode, registry, session_id)
-    }
-
-    /// [`observed`](Session::observed) for an explicit container profile
-    /// (see [`with_meta`](Session::with_meta)).
+    /// [`with_meta`](Session::with_meta) wired into a shared metric
+    /// registry: ingest/frame/record counters (aggregate and
+    /// per-`session_id`), per-reason damage counters, and the localizer's
+    /// frontier gauges — refreshed at every chunk boundary. Ingest
+    /// results are identical with and without a registry.
     #[must_use]
     pub fn observed_with_meta(
         flow: &InterleavedFlow,
@@ -692,9 +679,10 @@ mod tests {
         recs[1].time = 1 << 20; // one isolated forward spike → damage
         let stream = encode_records(&schema, &recs, None).unwrap();
         let registry = Arc::new(Registry::new());
-        let mut session = Session::observed(
+        let mut session = Session::observed_with_meta(
             &u,
             schema.clone(),
+            PtwMeta::v1(),
             MatchMode::Prefix,
             Arc::clone(&registry),
             7,
@@ -779,9 +767,10 @@ mod tests {
 
         let stream = encode_records(&schema, &recs, None).unwrap();
         let registry = Arc::new(Registry::new());
-        let mut session = Session::observed(
+        let mut session = Session::observed_with_meta(
             &u,
             schema.clone(),
+            PtwMeta::v1(),
             MatchMode::Prefix,
             Arc::clone(&registry),
             9,

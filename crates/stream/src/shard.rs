@@ -25,31 +25,34 @@
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pstrace_codec::flight::write_flight_dump;
 use pstrace_codec::DEFAULT_SYNC_EVERY;
-use pstrace_diag::{MatchMode, OnlineLocalizer};
+use pstrace_diag::OnlineLocalizer;
 use pstrace_obs::{
     merged_samples, render_prometheus_samples, EventKind, FlightHandle, FlightRecorder, Registry,
 };
 use pstrace_soc::SocModel;
+use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
 use crate::poll::{read_once, write_once, Backoff, Progress, Readiness};
 use crate::proto::{self, Chunk, Request};
-use crate::recover::RecoveredSession;
-use crate::server::{degrade, open_session, SessionLimits};
+use crate::server::{degrade, scenario_by_number, ServerConfig};
 use crate::session::Session;
-use crate::wal::{CheckpointSession, DurabilityPolicy, WalRecord, WalWriter};
+use crate::wal::{SessionRecord, WalRecord, WalWriter};
 
 /// How many bytes one connection may pull per tick before the loop moves
 /// on — fairness under a firehose client.
 const READ_BUDGET: usize = 256 * 1024;
+
+/// How long a draining shard waits for in-flight sessions at shutdown
+/// before it exits anyway.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the accept thread (or a sibling shard) delivers to a shard.
 #[derive(Debug)]
@@ -65,6 +68,9 @@ pub(crate) enum ShardMsg {
 /// Everything shared between the accept thread and every shard.
 #[derive(Debug)]
 pub(crate) struct FleetCtx {
+    /// The daemon's knobs as spawned; `wal_dir` is `None` when
+    /// durability is off.
+    pub config: ServerConfig,
     pub model: Arc<SocModel>,
     /// The caller's root registry first, then one registry per shard.
     pub registries: Vec<Arc<Registry>>,
@@ -77,33 +83,15 @@ pub(crate) struct FleetCtx {
     /// Set (alongside `shutdown`) when a client's SHUTDOWN verb — rather
     /// than the owning process — asked for the drain.
     pub shutdown_requested: AtomicBool,
-    pub governor: TenantGovernor,
-    pub read_timeout: Duration,
-    pub handshake_timeout: Duration,
-    pub resume_grace: Duration,
-    /// How long a draining shard waits for in-flight sessions.
-    pub drain_timeout: Duration,
-    pub limits: SessionLimits,
+    pub governor: Arc<TenantGovernor>,
     /// The always-on flight recorder: lane 0 is daemon scope, lanes
     /// `1..=shards` belong to shard workers.
     pub flight: Arc<FlightRecorder>,
-    /// Where degradation-triggered and shutdown spills land (`None` =
-    /// snapshot-on-request only).
-    pub flight_dump: Option<PathBuf>,
     /// Recorder-clock time of the last automatic spill (debounce).
     pub flight_spill: AtomicU64,
     /// The recovery epoch: acked with every resume token, checked on
     /// every resume-by-token (a mismatch is shed, `resume-epoch-shed`).
     pub epoch: u64,
-    /// WAL fsync policy (`Off` = no durability layer at all).
-    pub durability: DurabilityPolicy,
-    /// Where the per-shard WALs live (`None` when durability is off).
-    pub wal_dir: Option<PathBuf>,
-    /// Per-shard WAL disk budget before rotation (bytes).
-    pub wal_budget: u64,
-    /// Sessions the startup replay rebuilt, one slot per shard — each
-    /// shard takes (and re-parks) its slot before its first tick.
-    pub recovered: Vec<Mutex<Vec<RecoveredSession>>>,
     /// Highest resume token a previous life minted; token sequences
     /// restart above it so recovered tokens are never re-issued.
     pub recovered_max_token: u64,
@@ -139,7 +127,7 @@ impl FleetCtx {
 
     /// Best-effort spill of the journal to the configured dump path.
     pub(crate) fn spill_flight(&self) {
-        if let Some(path) = &self.flight_dump {
+        if let Some(path) = &self.config.flight_dump {
             if let Ok(bytes) = self.flight_dump_bytes() {
                 let _ = std::fs::write(path, bytes);
             }
@@ -147,7 +135,7 @@ impl FleetCtx {
     }
 
     fn maybe_autospill(&self) {
-        if self.flight_dump.is_none() {
+        if self.config.flight_dump.is_none() {
             return;
         }
         let now = self.flight.now_ns();
@@ -165,18 +153,11 @@ impl FleetCtx {
     }
 }
 
-/// Admission control for session opens: a global concurrent-session cap
-/// plus a per-tenant cap, both optional. Holds one short lock per open
-/// — never on the chunk path.
+/// Admission control for session opens: the global concurrent-session
+/// cap and the per-tenant cap of [`ServerConfig`], both optional. Holds
+/// one short lock per open — never on the chunk path.
 #[derive(Debug)]
 pub(crate) struct TenantGovernor {
-    max_sessions: Option<u64>,
-    tenant_quota: Option<u64>,
-    inner: Arc<GovernorInner>,
-}
-
-#[derive(Debug)]
-struct GovernorInner {
     root: Arc<Registry>,
     state: Mutex<GovernorState>,
 }
@@ -201,30 +182,27 @@ pub(crate) struct Shed {
 /// expires.
 #[derive(Debug)]
 pub(crate) struct Ticket {
-    inner: Arc<GovernorInner>,
+    governor: Arc<TenantGovernor>,
     tenant: u32,
 }
 
 impl TenantGovernor {
-    pub(crate) fn new(
-        max_sessions: Option<u64>,
-        tenant_quota: Option<u64>,
-        root: Arc<Registry>,
-    ) -> TenantGovernor {
-        TenantGovernor {
-            max_sessions,
-            tenant_quota,
-            inner: Arc::new(GovernorInner {
-                root,
-                state: Mutex::new(GovernorState::default()),
-            }),
-        }
+    pub(crate) fn new(root: Arc<Registry>) -> Arc<TenantGovernor> {
+        Arc::new(TenantGovernor {
+            root,
+            state: Mutex::default(),
+        })
     }
 
-    /// Admits one session for `tenant`, or says why not.
-    pub(crate) fn admit(&self, tenant: u32) -> Result<Ticket, Shed> {
-        let mut state = self.inner.state.lock().expect("governor lock poisoned");
-        if let Some(cap) = self.max_sessions {
+    /// Admits one session for `tenant` under `config`'s caps, or says
+    /// why not.
+    pub(crate) fn admit(
+        self: &Arc<Self>,
+        config: &ServerConfig,
+        tenant: u32,
+    ) -> Result<Ticket, Shed> {
+        let mut state = self.state.lock().expect("governor lock poisoned");
+        if let Some(cap) = config.max_sessions {
             if state.total >= cap {
                 return Err(Shed {
                     reason: "capacity-shed",
@@ -232,7 +210,7 @@ impl TenantGovernor {
                 });
             }
         }
-        if let Some(cap) = self.tenant_quota {
+        if let Some(cap) = config.tenant_quota {
             if state.per_tenant.get(&tenant).copied().unwrap_or(0) >= cap {
                 return Err(Shed {
                     reason: "tenant-quota-shed",
@@ -245,15 +223,14 @@ impl TenantGovernor {
         state.total += 1;
         *state.per_tenant.entry(tenant).or_insert(0) += 1;
         drop(state);
-        self.inner
-            .root
+        self.root
             .gauge_with(
                 "pstrace_tenant_active_sessions",
                 &[("tenant", &tenant.to_string())],
             )
             .add(1);
         Ok(Ticket {
-            inner: Arc::clone(&self.inner),
+            governor: Arc::clone(self),
             tenant,
         })
     }
@@ -261,7 +238,7 @@ impl TenantGovernor {
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock().expect("governor lock poisoned");
+        let mut state = self.governor.state.lock().expect("governor lock poisoned");
         state.total = state.total.saturating_sub(1);
         if let Some(n) = state.per_tenant.get_mut(&self.tenant) {
             *n -= 1;
@@ -270,7 +247,7 @@ impl Drop for Ticket {
             }
         }
         drop(state);
-        self.inner
+        self.governor
             .root
             .gauge_with(
                 "pstrace_tenant_active_sessions",
@@ -280,23 +257,51 @@ impl Drop for Ticket {
     }
 }
 
-/// A streaming session attached to a live connection.
+/// A session attached to a live connection — or, in the parked lot,
+/// waiting for one.
 #[derive(Debug)]
 struct Active {
+    /// The hello that opened the session. Its `trace` is resolved: the
+    /// client-minted trace-context id, or a server-assigned one when the
+    /// hello carried 0; it follows the session across reconnects and
+    /// shards.
+    hello: proto::Hello,
     session: Session,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    schema: Vec<u8>,
     /// `Some` for resumable sessions: the token that parks/picks it up.
     token: Option<u64>,
-    ticket: Option<Ticket>,
-    /// The trace-context id following this session across reconnects
-    /// and shards (client-minted, or server-assigned when the hello
-    /// carried 0).
-    trace: u64,
+    /// The governor seat, held for its `Drop`: a parked session keeps
+    /// its tenant's quota until it resumes or expires.
+    _ticket: Ticket,
     /// The daemon-local session id the journal names it by.
     session_id: u64,
+}
+
+impl Active {
+    /// What a checkpoint persists about this session (`None` unless it
+    /// is resumable).
+    fn record(&self) -> Option<SessionRecord> {
+        Some(SessionRecord {
+            token: self.token?,
+            session_id: self.session_id,
+            trace: self.hello.trace,
+            scenario: self.hello.scenario,
+            mode: proto::mode_to_byte(self.hello.mode),
+            tenant: self.hello.tenant,
+            schema: self.hello.schema.clone(),
+            bytes: self.session.metrics().bytes,
+        })
+    }
+}
+
+/// How a stream leaves `Phase::Streaming`.
+enum StreamEnd {
+    /// FINISH arrived: the report is the reply.
+    Completed { bit_len: u64 },
+    /// The session is lost; `reason` labels its Close event.
+    Failed { reason: &'static str },
+    /// A resumable session's transport died: it waits out its grace
+    /// period in the parked lot.
+    Parked,
 }
 
 /// The per-connection state machine.
@@ -346,20 +351,6 @@ impl Conn {
     }
 }
 
-/// A resumable session waiting out its grace period, shard-local.
-#[derive(Debug)]
-struct ParkedSession {
-    session: Session,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    schema: Vec<u8>,
-    ticket: Option<Ticket>,
-    deadline: Instant,
-    trace: u64,
-    session_id: u64,
-}
-
 /// What `advance` decided about a connection.
 enum Verdict {
     Keep,
@@ -373,7 +364,9 @@ struct Shard {
     ctx: Arc<FleetCtx>,
     index: usize,
     registry: Arc<Registry>,
-    parked: HashMap<u64, ParkedSession>,
+    /// Resumable sessions waiting out their grace period, by token, with
+    /// the instant their token expires.
+    parked: HashMap<u64, (Box<Active>, Instant)>,
     /// Per-shard resume-token sequence; tokens are
     /// `seq * shard_count + index`, never 0, owner-recoverable.
     resume_seq: u64,
@@ -421,17 +414,24 @@ impl Shard {
         self.ctx.session_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Appends one lifecycle entry to this shard's WAL. A failing append
-    /// is a degradation (`wal-append-degraded`), never a session error:
-    /// the session continues, it just loses crash durability.
-    fn wal_append(&mut self, record: &WalRecord) {
-        let failed = match self.wal.as_mut() {
-            Some(wal) => wal.append(record).is_err(),
-            None => false,
-        };
-        if failed {
-            self.note_degrade("wal-append-degraded", 0, 0);
+    /// Runs one operation on this shard's WAL. A failure is a
+    /// degradation along `path`, never a session error: the session
+    /// continues, it just loses crash durability.
+    fn wal_op(
+        &mut self,
+        path: &str,
+        trace: u64,
+        session: u64,
+        op: impl FnOnce(&mut WalWriter) -> std::io::Result<()>,
+    ) {
+        if self.wal.as_mut().is_some_and(|wal| op(wal).is_err()) {
+            self.note_degrade(path, trace, session);
         }
+    }
+
+    /// Appends one lifecycle entry to this shard's WAL.
+    fn wal_append(&mut self, record: &WalRecord) {
+        self.wal_op("wal-append-degraded", 0, 0, |wal| wal.append(record));
     }
 
     /// Journals a resumable session's open group (Open + schema chunks).
@@ -439,139 +439,123 @@ impl Shard {
     /// so the token the caller is about to ack is already on disk.
     fn wal_append_open(&mut self, active: &Active) {
         let Some(token) = active.token else { return };
-        let failed = match self.wal.as_mut() {
-            Some(wal) => wal
-                .append_open(
+        let hello = &active.hello;
+        self.wal_op(
+            "wal-append-degraded",
+            hello.trace,
+            active.session_id,
+            |wal| {
+                wal.append_open(
                     token,
                     active.session_id,
-                    active.trace,
-                    active.scenario,
-                    proto::mode_to_byte(active.mode),
-                    active.tenant,
-                    &active.schema,
+                    hello.trace,
+                    hello.scenario,
+                    proto::mode_to_byte(hello.mode),
+                    hello.tenant,
+                    &hello.schema,
                 )
-                .is_err(),
-            None => false,
-        };
-        if failed {
-            self.note_degrade("wal-append-degraded", active.trace, active.session_id);
+            },
+        );
+    }
+
+    /// Builds the session `hello` asks for: scenario interleaving plus the
+    /// schema rebuilt from the handshake bytes. It records into this
+    /// shard's registry under `session_id` and journals under the hello's
+    /// trace id.
+    fn build_session(&self, hello: &proto::Hello, session_id: u64) -> Result<Session, StreamError> {
+        let model = &self.ctx.model;
+        let flow = scenario_by_number(hello.scenario)?
+            .interleaving(model)
+            .map_err(|e| StreamError::Protocol(format!("scenario does not interleave: {e}")))?;
+        let (schema, meta, consumed) = read_ptw_header(model.catalog(), &hello.schema)?;
+        if consumed != hello.schema.len() {
+            return Err(StreamError::Protocol(format!(
+                "{} stray bytes after the schema handshake",
+                hello.schema.len() - consumed
+            )));
         }
+        let registry = Arc::clone(&self.registry);
+        let mut session =
+            Session::observed_with_meta(&flow, schema, meta, hello.mode, registry, session_id);
+        session.set_flight(FlightHandle::new(
+            Arc::clone(&self.ctx.flight),
+            self.lane(),
+            hello.trace,
+            session_id,
+        ));
+        Ok(session)
     }
 
     /// Re-parks the sessions crash recovery rebuilt for this shard: each
     /// one re-admits through the governor, re-opens its session state
     /// machine from the journaled hello, and waits out a fresh grace
     /// period under its pre-crash token.
-    fn repark_recovered(&mut self, sessions: Vec<RecoveredSession>) {
-        for r in sessions {
-            let Ok(mode) = proto::mode_from_byte(r.mode) else {
-                self.note_degrade("wal-session-skipped", r.trace, r.session_id);
+    fn repark_recovered(&mut self, records: Vec<SessionRecord>) {
+        for r in records {
+            let (trace, session_id) = (r.trace, r.session_id);
+            let Some(active) = self.reopen(r) else {
+                self.note_degrade("wal-session-skipped", trace, session_id);
                 continue;
             };
-            let ticket = match self.ctx.governor.admit(r.tenant) {
-                Ok(t) => t,
-                Err(_) => {
-                    // The restarted daemon is smaller (or busier) than
-                    // the dead one: shed rather than oversubscribe.
-                    self.note_degrade("wal-session-skipped", r.trace, r.session_id);
-                    continue;
-                }
-            };
-            let hello = proto::Hello {
-                scenario: r.scenario,
-                mode,
-                tenant: r.tenant,
-                trace: r.trace,
-                schema: r.schema,
-            };
-            let mut session =
-                match open_session(&self.ctx.model, &hello, &self.registry, r.session_id) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.note_degrade("wal-session-skipped", r.trace, r.session_id);
-                        continue;
-                    }
-                };
-            session.set_flight(FlightHandle::new(
-                Arc::clone(&self.ctx.flight),
-                self.lane(),
-                r.trace,
-                r.session_id,
-            ));
             self.registry
                 .counter("pstrace_stream_recovered_total")
                 .inc();
-            self.note(
-                r.trace,
-                r.session_id,
-                EventKind::Recover,
-                "sessions-restored",
-            );
+            self.note(trace, session_id, EventKind::Recover, "sessions-restored");
+            let deadline = Instant::now() + self.ctx.config.resume_grace;
             self.parked.insert(
-                r.token,
-                ParkedSession {
-                    session,
-                    scenario: hello.scenario,
-                    mode,
-                    tenant: hello.tenant,
-                    schema: hello.schema,
-                    ticket: Some(ticket),
-                    deadline: Instant::now() + self.ctx.resume_grace,
-                    trace: r.trace,
-                    session_id: r.session_id,
-                },
+                active.token.expect("recovered sessions are resumable"),
+                (active, deadline),
             );
         }
+    }
+
+    /// Re-opens one recovered session, or `None` when it cannot be
+    /// rebuilt faithfully.
+    fn reopen(&self, r: SessionRecord) -> Option<Box<Active>> {
+        let mode = proto::mode_from_byte(r.mode).ok()?;
+        // A restarted daemon smaller (or busier) than the dead one sheds
+        // rather than oversubscribes.
+        let ticket = self.ctx.governor.admit(&self.ctx.config, r.tenant).ok()?;
+        let hello = proto::Hello {
+            scenario: r.scenario,
+            mode,
+            tenant: r.tenant,
+            trace: r.trace,
+            schema: r.schema,
+        };
+        let session = self.build_session(&hello, r.session_id).ok()?;
+        Some(Box::new(Active {
+            hello,
+            session,
+            token: Some(r.token),
+            _ticket: ticket,
+            session_id: r.session_id,
+        }))
     }
 
     /// Checkpoint-and-truncate rotation once the WAL crosses its disk
     /// budget: every live resumable session (parked or mid-stream) is
     /// compacted into the checkpoint, then the journal restarts empty.
-    fn maybe_rotate(&mut self, conns: &mut [Conn]) {
+    fn maybe_rotate(&mut self, conns: &[Conn]) {
         if !self.wal.as_ref().is_some_and(WalWriter::needs_rotation) {
             return;
         }
-        let mut live: Vec<CheckpointSession> = self
+        let streaming = conns.iter().filter_map(|conn| match &conn.phase {
+            Phase::Streaming(active) => Some(&**active),
+            _ => None,
+        });
+        let live: Vec<SessionRecord> = self
             .parked
-            .iter()
-            .map(|(&token, p)| CheckpointSession {
-                token,
-                session_id: p.session_id,
-                trace: p.trace,
-                scenario: p.scenario,
-                mode: proto::mode_to_byte(p.mode),
-                tenant: p.tenant,
-                schema: p.schema.clone(),
-                bytes: p.session.metrics().bytes,
-            })
+            .values()
+            .map(|(active, _)| &**active)
+            .chain(streaming)
+            .filter_map(Active::record)
             .collect();
-        for conn in conns {
-            if let Phase::Streaming(active) = &conn.phase {
-                if let Some(token) = active.token {
-                    live.push(CheckpointSession {
-                        token,
-                        session_id: active.session_id,
-                        trace: active.trace,
-                        scenario: active.scenario,
-                        mode: proto::mode_to_byte(active.mode),
-                        tenant: active.tenant,
-                        schema: active.schema.clone(),
-                        bytes: active.session.metrics().bytes,
-                    });
-                }
-            }
-        }
         // Rotation is the disk-pressure rung of the ladder: count it.
         self.note_degrade("wal-rotate", 0, 0);
-        let failed = match self.wal.as_mut() {
-            Some(wal) => wal.rotate(&live).is_err(),
-            None => false,
-        };
-        if failed {
-            // The checkpoint (or truncate) failed; the old WAL still
-            // recovers everything, so degrade and carry on.
-            self.note_degrade("wal-checkpoint-degraded", 0, 0);
-        }
+        // A failed checkpoint (or truncate) leaves the old WAL, which
+        // still recovers everything: degrade and carry on.
+        self.wal_op("wal-checkpoint-degraded", 0, 0, |wal| wal.rotate(&live));
     }
 
     /// Reads whatever the socket has buffered (bounded per tick).
@@ -621,52 +605,91 @@ impl Shard {
     /// A streaming session's transport died (EOF, error, protocol damage
     /// or idle deadline): park it when resumable, fail it when not.
     fn streaming_death(&mut self, conn: &mut Conn, why: &str) -> Verdict {
-        let Phase::Streaming(active) = std::mem::replace(&mut conn.phase, Phase::Closing) else {
+        if matches!(&conn.phase, Phase::Streaming(active) if active.token.is_some()) {
+            self.end_stream(conn, StreamEnd::Parked);
             return Verdict::Close;
-        };
-        self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-        // However the session ends here, it is no longer live-streaming:
-        // stale frontier gauges would sum wrongly across shards.
-        OnlineLocalizer::clear_frontier(&self.registry);
-        let active = *active;
-        if let Some(token) = active.token {
-            self.registry.counter("pstrace_stream_parked_total").inc();
-            self.note(
-                active.trace,
-                active.session_id,
-                EventKind::Park,
-                "session-parked",
-            );
-            self.note_degrade("session-parked", active.trace, active.session_id);
-            self.wal_append(&WalRecord::Park {
-                token,
-                bytes: active.session.metrics().bytes,
-            });
-            self.parked.insert(
-                token,
-                ParkedSession {
-                    session: active.session,
-                    scenario: active.scenario,
-                    mode: active.mode,
-                    tenant: active.tenant,
-                    schema: active.schema,
-                    ticket: active.ticket,
-                    deadline: Instant::now() + self.ctx.resume_grace,
-                    trace: active.trace,
-                    session_id: active.session_id,
-                },
-            );
+        }
+        self.end_stream(conn, StreamEnd::Failed { reason: "" });
+        if conn.peer_gone {
             Verdict::Close
         } else {
-            self.registry.counter("pstrace_stream_failed_total").inc();
-            self.note(active.trace, active.session_id, EventKind::Close, "");
-            if conn.peer_gone {
-                Verdict::Close
-            } else {
-                // The transport still works (protocol damage): tell the
-                // client, then close.
-                conn.reply(false, why);
-                Verdict::Keep
+            // The transport still works (protocol damage): tell the
+            // client, then close.
+            conn.reply(false, why);
+            Verdict::Keep
+        }
+    }
+
+    /// The one entry into `Phase::Streaming`: acks a resumable session's
+    /// token and offset and counts the session active. A refused open
+    /// gets its error as the reply instead.
+    fn start_stream(&mut self, conn: &mut Conn, opened: Result<Box<Active>, StreamError>) {
+        match opened {
+            Ok(active) => {
+                if let Some(token) = active.token {
+                    let offset = active.session.metrics().bytes;
+                    let _ =
+                        proto::write_resume_ack(&mut conn.outbox, token, offset, self.ctx.epoch);
+                }
+                self.registry.gauge("pstrace_stream_active_sessions").add(1);
+                conn.phase = Phase::Streaming(active);
+            }
+            Err(e) => {
+                conn.reply(false, &e.to_string());
+                conn.phase = Phase::Closing;
+            }
+        }
+    }
+
+    /// The one exit from `Phase::Streaming` (the connection moves to
+    /// `Closing`): keeps the active-session gauge, the completed / failed
+    /// / parked counters, the frontier gauges, the journal and the WAL in
+    /// step however the stream ended.
+    fn end_stream(&mut self, conn: &mut Conn, end: StreamEnd) {
+        let Phase::Streaming(active) = std::mem::replace(&mut conn.phase, Phase::Closing) else {
+            return;
+        };
+        self.registry.gauge("pstrace_stream_active_sessions").sub(1);
+        // However the session ends, it is no longer live-streaming:
+        // stale frontier gauges would sum wrongly across shards.
+        OnlineLocalizer::clear_frontier(&self.registry);
+        let (trace, session_id) = (active.hello.trace, active.session_id);
+        match end {
+            StreamEnd::Completed { bit_len } => {
+                if let Some(token) = active.token {
+                    // The token is dead: recovery must not resurrect it.
+                    self.wal_append(&WalRecord::Complete { token });
+                }
+                let report = active.session.finish(Some(bit_len));
+                let text = format!(
+                    "session over scenario {} ({:?} match)\n{}",
+                    active.hello.scenario,
+                    report.mode,
+                    report.render()
+                );
+                self.note(trace, session_id, EventKind::Finish, "");
+                self.note(trace, session_id, EventKind::Close, "");
+                self.registry
+                    .counter("pstrace_stream_completed_total")
+                    .inc();
+                conn.reply(true, &text);
+                // The ticket drops here: the seat frees at completion.
+            }
+            StreamEnd::Failed { reason } => {
+                self.registry.counter("pstrace_stream_failed_total").inc();
+                self.note(trace, session_id, EventKind::Close, reason);
+            }
+            StreamEnd::Parked => {
+                let token = active.token.expect("only resumable sessions park");
+                self.registry.counter("pstrace_stream_parked_total").inc();
+                self.note(trace, session_id, EventKind::Park, "session-parked");
+                self.note_degrade("session-parked", trace, session_id);
+                self.wal_append(&WalRecord::Park {
+                    token,
+                    bytes: active.session.metrics().bytes,
+                });
+                let deadline = Instant::now() + self.ctx.config.resume_grace;
+                self.parked.insert(token, (active, deadline));
             }
         }
     }
@@ -771,16 +794,8 @@ impl Shard {
             }
             Request::Session(hello) => {
                 self.registry.counter("pstrace_stream_sessions_total").inc();
-                match self.open_streaming(&hello, None) {
-                    Ok(active) => {
-                        conn.phase = Phase::Streaming(Box::new(active));
-                    }
-                    // `open_streaming` already accounted the failure.
-                    Err(e) => {
-                        conn.reply(false, &e.to_string());
-                        conn.phase = Phase::Closing;
-                    }
-                }
+                let opened = self.open_streaming(hello, None);
+                self.start_stream(conn, opened);
                 Verdict::Keep
             }
             Request::Resume {
@@ -792,7 +807,7 @@ impl Shard {
                     // Fresh resumable session.
                     self.registry.counter("pstrace_stream_sessions_total").inc();
                     let token = self.next_token();
-                    self.open_streaming(&hello, Some(token))
+                    self.open_streaming(hello, Some(token))
                 } else if epoch != self.ctx.epoch {
                     // The token was minted under a different WAL lineage
                     // (another daemon, another --wal-dir, or a pre-crash
@@ -815,38 +830,20 @@ impl Shard {
                 } else {
                     self.pick_up(token, &hello)
                 };
-                match opened {
-                    Ok(active) => {
-                        let token = active.token.expect("resumable sessions carry a token");
-                        let offset = active.session.metrics().bytes;
-                        let _ = proto::write_resume_ack(
-                            &mut conn.outbox,
-                            token,
-                            offset,
-                            self.ctx.epoch,
-                        );
-                        self.registry.gauge("pstrace_stream_active_sessions").add(1);
-                        conn.phase = Phase::Streaming(Box::new(active));
-                    }
-                    Err(e) => {
-                        conn.reply(false, &e.to_string());
-                        conn.phase = Phase::Closing;
-                    }
-                }
+                self.start_stream(conn, opened);
                 Verdict::Keep
             }
         }
     }
 
     /// Opens a brand-new session (plain or fresh-resumable): governor
-    /// admission, then scenario/schema validation. The plain path also
-    /// flips the active gauge here; the resume path does it after acking.
+    /// admission, then scenario/schema validation.
     fn open_streaming(
         &mut self,
-        hello: &proto::Hello,
+        hello: proto::Hello,
         token: Option<u64>,
-    ) -> Result<Active, StreamError> {
-        let ticket = match self.ctx.governor.admit(hello.tenant) {
+    ) -> Result<Box<Active>, StreamError> {
+        let ticket = match self.ctx.governor.admit(&self.ctx.config, hello.tenant) {
             Ok(t) => t,
             Err(shed) => {
                 self.note(hello.trace, 0, EventKind::Shed, shed.reason);
@@ -870,35 +867,23 @@ impl Shard {
         } else {
             hello.trace
         };
-        let mut session = match open_session(&self.ctx.model, hello, &self.registry, session_id) {
+        let hello = proto::Hello { trace, ..hello };
+        let session = match self.build_session(&hello, session_id) {
             Ok(s) => s,
             Err(e) => {
                 self.registry.counter("pstrace_stream_failed_total").inc();
                 return Err(e);
             }
         };
-        session.set_flight(FlightHandle::new(
-            Arc::clone(&self.ctx.flight),
-            self.lane(),
-            trace,
-            session_id,
-        ));
         self.note(trace, session_id, EventKind::Open, "");
         self.note(trace, session_id, EventKind::Handshake, "");
-        if token.is_none() {
-            self.registry.gauge("pstrace_stream_active_sessions").add(1);
-        }
-        let active = Active {
+        let active = Box::new(Active {
+            hello,
             session,
-            scenario: hello.scenario,
-            mode: hello.mode,
-            tenant: hello.tenant,
-            schema: hello.schema.clone(),
             token,
-            ticket: Some(ticket),
-            trace,
+            _ticket: ticket,
             session_id,
-        };
+        });
         // Journal the open group before the caller can ack the token:
         // under strict durability the fsync happens here, so an acked
         // token is always recoverable.
@@ -907,82 +892,36 @@ impl Shard {
     }
 
     /// Picks a parked session back up by its token.
-    fn pick_up(&mut self, token: u64, hello: &proto::Hello) -> Result<Active, StreamError> {
-        let Some(parked) = self.parked.remove(&token) else {
+    fn pick_up(&mut self, token: u64, hello: &proto::Hello) -> Result<Box<Active>, StreamError> {
+        let Some((parked, deadline)) = self.parked.remove(&token) else {
             self.note_degrade("resume-expired", hello.trace, token);
             return Err(StreamError::Protocol(format!(
                 "unknown or expired resume token {token}"
             )));
         };
-        if parked.schema != hello.schema || parked.scenario != hello.scenario {
+        if parked.hello.schema != hello.schema || parked.hello.scenario != hello.scenario {
             // A mismatched resume is a client bug; the parked session
             // goes back to wait for the right one.
-            self.parked.insert(token, parked);
+            self.parked.insert(token, (parked, deadline));
             return Err(StreamError::Protocol(
                 "resume hello does not match the parked session".to_owned(),
             ));
         }
         self.registry.counter("pstrace_stream_resumed_total").inc();
-        self.note(parked.trace, parked.session_id, EventKind::Resume, "");
+        self.note(parked.hello.trace, parked.session_id, EventKind::Resume, "");
         self.wal_append(&WalRecord::Resume { token });
-        Ok(Active {
-            session: parked.session,
-            scenario: parked.scenario,
-            mode: parked.mode,
-            tenant: parked.tenant,
-            schema: parked.schema,
-            token: Some(token),
-            ticket: parked.ticket,
-            trace: parked.trace,
-            session_id: parked.session_id,
-        })
+        Ok(parked)
     }
 
     /// Feeds one chunk into the streaming session.
     fn handle_chunk(&mut self, conn: &mut Conn, chunk: Chunk) {
-        let Phase::Streaming(active) = &mut conn.phase else {
-            return;
-        };
         match chunk {
             Chunk::Data(bytes) => {
-                active.session.push_chunk(&bytes);
-                if let Some(msg) = self.ctx.limits.exceeded(&active.session.metrics()) {
-                    let (trace, session_id) = (active.trace, active.session_id);
-                    self.note_degrade("budget-close", trace, session_id);
-                    self.note(trace, session_id, EventKind::Close, "budget-close");
-                    self.registry.counter("pstrace_stream_failed_total").inc();
-                    self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-                    OnlineLocalizer::clear_frontier(&self.registry);
-                    conn.reply(false, &msg);
-                    conn.phase = Phase::Closing;
+                if let Phase::Streaming(active) = &mut conn.phase {
+                    active.session.push_chunk(&bytes);
                 }
             }
-            Chunk::Finish { bit_len } => {
-                let Phase::Streaming(active) = std::mem::replace(&mut conn.phase, Phase::Closing)
-                else {
-                    return;
-                };
-                let active = *active;
-                if let Some(token) = active.token {
-                    // The token is dead: recovery must not resurrect it.
-                    self.wal_append(&WalRecord::Complete { token });
-                }
-                let report = active.session.finish(Some(bit_len));
-                let text = format!(
-                    "session over scenario {} ({:?} match)\n{}",
-                    active.scenario,
-                    report.mode,
-                    report.render()
-                );
-                self.note(active.trace, active.session_id, EventKind::Finish, "");
-                self.note(active.trace, active.session_id, EventKind::Close, "");
-                self.registry
-                    .counter("pstrace_stream_completed_total")
-                    .inc();
-                self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-                conn.reply(true, &text);
-                // The ticket drops here: the seat frees at completion.
-            }
+            Chunk::Finish { bit_len } => self.end_stream(conn, StreamEnd::Completed { bit_len }),
         }
     }
 
@@ -1013,7 +952,7 @@ impl Shard {
         // Deadlines.
         let now = Instant::now();
         if matches!(conn.phase, Phase::Request)
-            && now.duration_since(conn.opened) > self.ctx.handshake_timeout
+            && now.duration_since(conn.opened) > self.ctx.config.handshake_timeout
         {
             self.note_degrade("handshake-deadline", 0, 0);
             conn.reply(
@@ -1022,40 +961,29 @@ impl Shard {
             );
             conn.phase = Phase::Closing;
         } else if matches!(conn.phase, Phase::Streaming(_))
-            && now.duration_since(conn.last_progress) > self.ctx.read_timeout
+            && now.duration_since(conn.last_progress) > self.ctx.config.read_timeout
         {
             return (
                 self.streaming_death(conn, "session idle past deadline"),
                 moved,
             );
         } else if matches!(conn.phase, Phase::Closing)
-            && now.duration_since(conn.last_progress) > self.ctx.read_timeout
+            && now.duration_since(conn.last_progress) > self.ctx.config.read_timeout
         {
             return (Verdict::Close, moved);
         }
         (verdict, moved)
     }
-
-    /// Tears down a connection that is leaving the table (any path),
-    /// keeping the active-session gauge honest.
-    fn teardown(&mut self, conn: &mut Conn) {
-        if let Phase::Streaming(active) = &conn.phase {
-            self.note(
-                active.trace,
-                active.session_id,
-                EventKind::Close,
-                "worker-respawn",
-            );
-            self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-            self.registry.counter("pstrace_stream_failed_total").inc();
-            OnlineLocalizer::clear_frontier(&self.registry);
-            conn.phase = Phase::Closing;
-        }
-    }
 }
 
-/// The shard thread body: tick until shutdown, then drain.
-pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<ShardMsg>) {
+/// The shard thread body: re-park the sessions crash recovery rebuilt for
+/// this shard, tick until shutdown, then drain.
+pub(crate) fn run_shard(
+    ctx: Arc<FleetCtx>,
+    index: usize,
+    inbox: &Receiver<ShardMsg>,
+    recovered: Vec<SessionRecord>,
+) {
     let registry = Arc::clone(&ctx.registries[index + 1]);
     // Eagerly materialize the gauge so an idle daemon's exposition still
     // shows `pstrace_stream_active_sessions 0`.
@@ -1065,23 +993,19 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
     // minted, so recovered tokens are never re-issued.
     let shard_count = ctx.senders.len() as u64;
     let resume_seq = ctx.recovered_max_token / shard_count + 1;
-    let wal = match &ctx.wal_dir {
+    let wal = match &ctx.config.wal_dir {
         Some(dir) => WalWriter::open(
             dir,
             index,
             shard_count as usize,
             ctx.epoch,
-            ctx.durability,
-            ctx.wal_budget,
+            ctx.config.durability,
+            ctx.config.wal_budget,
         )
         .map_err(|_| degrade(&registry, "wal-append-degraded"))
         .ok(),
         None => None,
     };
-    let recovered = ctx.recovered[index]
-        .lock()
-        .map(|mut slot| std::mem::take(&mut *slot))
-        .unwrap_or_default();
     let mut shard = Shard {
         ctx,
         index,
@@ -1099,18 +1023,12 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         let mut moved = false;
 
         // Inbox: new sockets and handoffs.
-        loop {
-            match inbox.try_recv() {
-                Ok(ShardMsg::Conn(stream)) => {
-                    conns.push(Conn::new(stream, Vec::new()));
-                    moved = true;
-                }
-                Ok(ShardMsg::Handoff(stream, inbuf)) => {
-                    conns.push(Conn::new(stream, inbuf));
-                    moved = true;
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
+        while let Ok(msg) = inbox.try_recv() {
+            conns.push(match msg {
+                ShardMsg::Conn(stream) => Conn::new(stream, Vec::new()),
+                ShardMsg::Handoff(stream, inbuf) => Conn::new(stream, inbuf),
+            });
+            moved = true;
         }
 
         // Advance every connection; a panic costs exactly one.
@@ -1130,12 +1048,9 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
                 Ok((Verdict::Handoff(owner), _)) => {
                     let mut conn = conns.swap_remove(i);
                     let inbuf = std::mem::take(&mut conn.inbuf);
-                    if shard.ctx.senders[owner]
-                        .send(ShardMsg::Handoff(conn.stream, inbuf))
-                        .is_err()
-                    {
-                        // The owner is gone (shutdown race): nothing to do.
-                    }
+                    // A send fails only when the owner is gone (shutdown
+                    // race): nothing to do.
+                    let _ = shard.ctx.senders[owner].send(ShardMsg::Handoff(conn.stream, inbuf));
                     moved = true;
                 }
                 Err(_) => {
@@ -1146,7 +1061,12 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
                     shard.note(0, 0, EventKind::Respawn, "worker-respawn");
                     shard.note_degrade("worker-respawn", 0, 0);
                     let mut conn = conns.swap_remove(i);
-                    shard.teardown(&mut conn);
+                    shard.end_stream(
+                        &mut conn,
+                        StreamEnd::Failed {
+                            reason: "worker-respawn",
+                        },
+                    );
                     moved = true;
                 }
             }
@@ -1158,7 +1078,7 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         let expired: Vec<u64> = shard
             .parked
             .iter()
-            .filter(|(_, p)| p.deadline <= now)
+            .filter(|(_, (_, deadline))| *deadline <= now)
             .map(|(&token, _)| token)
             .collect();
         for token in expired {
@@ -1167,14 +1087,13 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         }
 
         // Disk-pressure rotation: checkpoint live sessions, truncate.
-        shard.maybe_rotate(&mut conns);
+        shard.maybe_rotate(&conns);
 
         if shard.ctx.shutdown.load(Ordering::Relaxed) {
             if drain_deadline.is_none() {
                 shard.note(0, 0, EventKind::Drain, "");
             }
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + shard.ctx.drain_timeout);
+            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_TIMEOUT);
             if conns.is_empty() || Instant::now() >= deadline {
                 // Lazy durability flushes once, here, at the drain edge.
                 if let Some(wal) = shard.wal.as_mut() {

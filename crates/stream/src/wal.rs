@@ -396,10 +396,12 @@ pub const CRASH_POINTS: [&str; 4] = [
     "wal-mid-rotation",
 ];
 
-/// Everything a checkpoint persists about one live resumable session.
-#[derive(Debug, Clone)]
-pub struct CheckpointSession {
-    /// The resume token.
+/// One resumable session as the durability layer sees it: what a
+/// checkpoint persists and what recovery rebuilds, so a re-parked
+/// session's pre-crash resume token works again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionRecord {
+    /// The resume token the client holds.
     pub token: u64,
     /// The daemon-local session id.
     pub session_id: u64,
@@ -409,12 +411,45 @@ pub struct CheckpointSession {
     pub scenario: u8,
     /// Match-mode wire byte.
     pub mode: u8,
-    /// Tenant id.
+    /// Tenant id for quota accounting.
     pub tenant: u32,
     /// The raw schema handshake bytes.
     pub schema: Vec<u8>,
-    /// Payload bytes ingested (informational).
+    /// Payload bytes ingested (informational: a recovered session acks
+    /// offset 0 and the client resends).
     pub bytes: u64,
+}
+
+/// One session's open group: its Open entry, then as many SchemaChunk
+/// entries as the schema handshake needs.
+fn open_group(
+    token: u64,
+    session_id: u64,
+    trace: u64,
+    scenario: u8,
+    mode: u8,
+    tenant: u32,
+    schema: &[u8],
+) -> impl Iterator<Item = WalRecord> + '_ {
+    let open = WalRecord::Open {
+        token,
+        session_id,
+        trace,
+        scenario,
+        mode,
+        tenant,
+        schema_len: schema.len() as u32,
+        schema_crc: fnv32(schema),
+    };
+    let chunks = schema
+        .chunks(SCHEMA_CHUNK_BYTES)
+        .enumerate()
+        .map(move |(i, piece)| WalRecord::SchemaChunk {
+            token,
+            offset: (i * SCHEMA_CHUNK_BYTES) as u32,
+            data: piece.to_vec(),
+        });
+    std::iter::once(open).chain(chunks)
 }
 
 /// Mints (or re-reads) the WAL directory's recovery epoch: the value is
@@ -427,15 +462,8 @@ pub struct CheckpointSession {
 /// Propagates directory-creation and file-write failures.
 pub fn mint_epoch(dir: &Path) -> io::Result<u64> {
     std::fs::create_dir_all(dir)?;
-    let path = epoch_path(dir);
-    if let Ok(bytes) = std::fs::read(&path) {
-        if bytes.len() >= WAL_ENTRY_BYTES {
-            let mut e = [0u8; WAL_ENTRY_BYTES];
-            e.copy_from_slice(&bytes[..WAL_ENTRY_BYTES]);
-            if let Ok((_, WalRecord::Epoch { epoch, .. })) = decode_entry(&e, &path, 0) {
-                return Ok(epoch);
-            }
-        }
+    if let Some(epoch) = read_epoch(dir) {
+        return Ok(epoch);
     }
     let epoch = fresh_epoch();
     let entry = encode_entry(
@@ -446,10 +474,21 @@ pub fn mint_epoch(dir: &Path) -> io::Result<u64> {
             shard_count: 0,
         },
     );
-    let mut f = File::create(&path)?;
+    let mut f = File::create(epoch_path(dir))?;
     f.write_all(&entry)?;
     f.sync_all()?;
     Ok(epoch)
+}
+
+/// The epoch recorded in `dir`'s epoch file, if it holds a valid one.
+pub(crate) fn read_epoch(dir: &Path) -> Option<u64> {
+    let path = epoch_path(dir);
+    let bytes = std::fs::read(&path).ok()?;
+    let entry = bytes.get(..WAL_ENTRY_BYTES)?.try_into().ok()?;
+    match decode_entry(entry, &path, 0) {
+        Ok((_, WalRecord::Epoch { epoch, .. })) => Some(epoch),
+        _ => None,
+    }
 }
 
 /// A nonzero epoch for a daemon running without a WAL directory: derived
@@ -525,12 +564,6 @@ impl WalWriter {
         Ok(wal)
     }
 
-    /// The file this writer appends to.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one entry, honoring the fsync policy and the armed crash
     /// points.
     ///
@@ -591,22 +624,8 @@ impl WalWriter {
         tenant: u32,
         schema: &[u8],
     ) -> io::Result<()> {
-        self.push(&WalRecord::Open {
-            token,
-            session_id,
-            trace,
-            scenario,
-            mode,
-            tenant,
-            schema_len: schema.len() as u32,
-            schema_crc: fnv32(schema),
-        })?;
-        for (i, piece) in schema.chunks(SCHEMA_CHUNK_BYTES).enumerate() {
-            self.push(&WalRecord::SchemaChunk {
-                token,
-                offset: (i * SCHEMA_CHUNK_BYTES) as u32,
-                data: piece.to_vec(),
-            })?;
+        for record in open_group(token, session_id, trace, scenario, mode, tenant, schema) {
+            self.push(&record)?;
         }
         self.commit()
     }
@@ -626,7 +645,7 @@ impl WalWriter {
     ///
     /// Propagates checkpoint/truncate i/o failures; on error the old WAL
     /// is untouched and recovery still works from it.
-    pub fn rotate(&mut self, live: &[CheckpointSession]) -> io::Result<()> {
+    pub fn rotate(&mut self, live: &[SessionRecord]) -> io::Result<()> {
         write_checkpoint(&self.dir, self.shard, self.shard_count, self.epoch, live)?;
         if crash_armed("wal-mid-rotation") {
             // Checkpoint renamed, WAL not yet truncated: recovery sees
@@ -673,7 +692,7 @@ pub fn write_checkpoint(
     shard: usize,
     shard_count: u32,
     epoch: u64,
-    live: &[CheckpointSession],
+    live: &[SessionRecord],
 ) -> io::Result<()> {
     let final_path = checkpoint_path(dir, shard);
     let tmp_path = final_path.with_extension("tmp");
@@ -684,23 +703,15 @@ pub fn write_checkpoint(
         shard_count,
     });
     for s in live {
-        entries.push(WalRecord::Open {
-            token: s.token,
-            session_id: s.session_id,
-            trace: s.trace,
-            scenario: s.scenario,
-            mode: s.mode,
-            tenant: s.tenant,
-            schema_len: s.schema.len() as u32,
-            schema_crc: fnv32(&s.schema),
-        });
-        for (i, piece) in s.schema.chunks(SCHEMA_CHUNK_BYTES).enumerate() {
-            entries.push(WalRecord::SchemaChunk {
-                token: s.token,
-                offset: (i * SCHEMA_CHUNK_BYTES) as u32,
-                data: piece.to_vec(),
-            });
-        }
+        entries.extend(open_group(
+            s.token,
+            s.session_id,
+            s.trace,
+            s.scenario,
+            s.mode,
+            s.tenant,
+            &s.schema,
+        ));
         entries.push(WalRecord::Park {
             token: s.token,
             bytes: s.bytes,
@@ -816,7 +827,7 @@ mod tests {
             wal.needs_rotation(),
             "epoch + open + 3 schema chunks = 5 entries hit the budget"
         );
-        wal.rotate(&[CheckpointSession {
+        wal.rotate(&[SessionRecord {
             token: 2,
             session_id: 1,
             trace: 0xbeef,

@@ -1,7 +1,8 @@
 //! Fleet-ingest contracts of the sharded event-loop daemon: session
 //! pinning across reconnects (with cross-shard handoff), deterministic
 //! tenant-quota shedding, per-shard registry merge parity with a
-//! single-registry run, and graceful SHUTDOWN-verb drain.
+//! single-registry run, graceful SHUTDOWN-verb drain, and a session
+//! ledger that balances over every way a stream can end.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -11,9 +12,12 @@ use std::time::{Duration, Instant};
 use pstrace::diag::MatchMode;
 use pstrace::faults::watchdog;
 use pstrace::flow::{FlowIndex, IndexedMessage};
+use pstrace::obs::{MetricKey, Sample};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace::stream::{proto, request_shutdown, stream_ptw, Server, ServerConfig, StatsSnapshot};
+use pstrace::stream::{
+    proto, request_shutdown, stream_ptw, Server, ServerConfig, StatsSnapshot, StreamError,
+};
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
 /// A small scenario-1 capture split the way the PSTS handshake wants
@@ -357,4 +361,127 @@ fn shutdown_verb_drains_the_daemon_and_frees_the_port() {
     let snap = server.shutdown();
     assert_eq!(snap.completed, 1);
     assert_eq!(snap.worker_panics, 0);
+}
+
+/// Opens a fresh resumable session for `tenant`, sends the first half of
+/// the payload, drops the transport and waits until the daemon has
+/// parked `parked` sessions in all. Returns the acked token and epoch.
+fn park_one(server: &Server, cap: &Capture, tenant: u32, parked: u64) -> (u64, u64) {
+    let mut s = connect(server);
+    proto::write_resume_hello(&mut s, 0, 0, &cap.hello(tenant, 0)).unwrap();
+    let (token, _, epoch) = proto::parse_resume_ack(&proto::read_reply(&mut s).unwrap()).unwrap();
+    proto::write_data(&mut s, &cap.payload[..cap.payload.len() / 2]).unwrap();
+    drop(s);
+    assert!(
+        poll_until(Duration::from_secs(30), || server.snapshot().parked
+            == parked),
+        "the dropped session never parked: {:?}",
+        server.snapshot()
+    );
+    (token, epoch)
+}
+
+/// Sends one request over a fresh connection; returns the refusal.
+fn refusal(
+    server: &Server,
+    send: impl FnOnce(&mut TcpStream) -> Result<(), StreamError>,
+) -> String {
+    let mut s = connect(server);
+    send(&mut s).unwrap();
+    proto::read_reply(&mut s).expect_err("refused").to_string()
+}
+
+/// A gauge's value summed over the root and every shard registry.
+fn gauge(server: &Server, name: &str, labels: &[(&str, &str)]) -> i64 {
+    let wanted = MetricKey::new(name, labels);
+    server
+        .merged_samples()
+        .into_iter()
+        .find_map(|(key, sample)| match sample {
+            Sample::Gauge(v) if key == wanted => Some(v),
+            _ => None,
+        })
+        .expect("the gauge is registered")
+}
+
+#[test]
+fn every_stream_exit_balances_the_session_ledger() {
+    let _guard = watchdog(Duration::from_secs(120), "fleet stream exits");
+    let cap = capture(200);
+    let server = Server::spawn(
+        Arc::clone(&cap.model),
+        &ServerConfig {
+            shards: 2,
+            resume_grace: Duration::from_secs(1),
+            tenant_quota: Some(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // A clean completion (tenant 0).
+    let catalog = cap.model.catalog();
+    stream_ptw(
+        server.local_addr(),
+        catalog,
+        1,
+        MatchMode::Prefix,
+        &cap.ptw,
+        64,
+    )
+    .unwrap();
+
+    // A bad-schema failure (tenant 1): half a schema never parses.
+    let mut bad = cap.hello(1, 0);
+    bad.schema.truncate(bad.schema.len() / 2);
+    refusal(&server, |s| proto::write_hello(s, &bad));
+
+    // A tenant-quota shed: tenant 2's parked session holds its only seat.
+    let (token, epoch) = park_one(&server, &cap, 2, 1);
+    let shed = refusal(&server, |s| proto::write_hello(s, &cap.hello(2, 0)));
+    assert!(shed.contains("quota"), "{shed}");
+
+    // The parked session resumes and completes.
+    let mut s = connect(&server);
+    proto::write_resume_hello(&mut s, token, epoch, &cap.hello(2, 0)).unwrap();
+    let (_, offset, _) = proto::parse_resume_ack(&proto::read_reply(&mut s).unwrap()).unwrap();
+    proto::write_data(&mut s, &cap.payload[usize::try_from(offset).unwrap()..]).unwrap();
+    proto::write_finish(&mut s, cap.bit_len).unwrap();
+    proto::read_reply(&mut s).expect("the resumed session completes");
+
+    // A parked session left to expire (tenant 3): its seat frees when
+    // the grace period ends, and its token dies.
+    let (token, epoch) = park_one(&server, &cap, 3, 2);
+    let tenant_3 = [("tenant", "3")];
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            gauge(&server, "pstrace_tenant_active_sessions", &tenant_3) == 0
+        }),
+        "the parked session never expired"
+    );
+    let expired = refusal(&server, |s| {
+        proto::write_resume_hello(s, token, epoch, &cap.hello(3, 0))
+    });
+    assert!(expired.contains("expired"), "{expired}");
+
+    let active = || gauge(&server, "pstrace_stream_active_sessions", &[]);
+    assert!(
+        poll_until(Duration::from_secs(30), || active() == 0),
+        "active sessions never drained: {}",
+        active()
+    );
+    let snap = server.shutdown();
+    let ledger = [
+        snap.sessions,
+        snap.completed,
+        snap.failed,
+        snap.parked,
+        snap.resumed,
+    ];
+    assert_eq!(ledger, [5, 2, 2, 2, 1], "{snap:?}");
+    assert_eq!(
+        snap.sessions,
+        snap.completed + snap.failed + snap.parked - snap.resumed,
+        "every session that entered the daemon left it exactly once: {snap:?}"
+    );
 }
