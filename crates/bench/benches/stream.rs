@@ -1,6 +1,7 @@
 //! Live ingest throughput: in-process [`Session`] chunk pushes vs the
-//! full loopback TCP path, and the online localizer's linear scaling
-//! against re-running the batch DP on every growing prefix.
+//! full loopback TCP path, and the online localizer's per-push cost while
+//! its frontier is live and once it is empty, against re-running the
+//! batch DP on every growing prefix.
 
 use std::sync::Arc;
 
@@ -90,35 +91,50 @@ fn bench_ingest(c: &mut Criterion) {
 }
 
 fn bench_online_localization(c: &mut Criterion) {
-    let (flow, _, _, _) = setup(0);
-    let alphabet = flow.message_alphabet();
-    let selected: Vec<MessageId> = alphabet.iter().take(2).copied().collect();
-    // A long observation: cycle projected records of a real execution so
-    // the prefix-mode frontier keeps live mass for a while before dying.
+    let (flow, schema, _, _) = setup(0);
+    // The scenario's traced message set, as the ingest daemon sees it.
+    let selected: Vec<MessageId> = schema.slots().iter().map(|s| s.message).collect();
+    // The projection of a real execution keeps the Prefix frontier live on
+    // every push; repeating it after the end empties the frontier for good.
     let exec = executions(&flow).next().expect("nonempty flow");
     let projection = exec.project(&selected);
-    let observed: Vec<IndexedMessage> = projection.iter().cycle().take(256).copied().collect();
+    let dead_tail: Vec<IndexedMessage> = projection.iter().cycle().take(256).copied().collect();
+    let fresh = OnlineLocalizer::new(&flow, &selected, MatchMode::Prefix);
+    let seeded = fresh.checkpoint();
 
-    let mut group = c.benchmark_group("online_vs_batch_localization_256_pushes");
+    let mut group = c.benchmark_group("online_localization");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(5));
 
-    group.bench_function("online_incremental", |b| {
+    group.bench_function(format!("live_{}_pushes", projection.len()), |b| {
+        let mut online = fresh.clone();
         b.iter(|| {
-            let mut online = OnlineLocalizer::new(&flow, &selected, MatchMode::Prefix);
-            for &m in &observed {
+            online.restore(&seeded);
+            for &m in &projection {
                 online.push(m);
             }
             black_box(online.consistent())
         });
     });
 
-    group.bench_function("batch_per_prefix", |b| {
+    group.bench_function("dead_256_pushes", |b| {
+        let mut online = fresh.clone();
+        online.push_all(projection.iter().chain(&projection).copied());
+        assert_eq!(online.frontier().support(), 0, "the frontier is empty");
+        b.iter(|| {
+            for &m in &dead_tail {
+                online.push(m);
+            }
+            black_box(online.consistent())
+        });
+    });
+
+    group.bench_function(format!("batch_per_prefix_{}", projection.len()), |b| {
         b.iter(|| {
             let mut last = 0u128;
-            for n in 1..=observed.len() {
-                last = consistent_paths(&flow, &observed[..n], &selected, MatchMode::Prefix);
+            for n in 1..=projection.len() {
+                last = consistent_paths(&flow, &projection[..n], &selected, MatchMode::Prefix);
             }
             black_box(last)
         });

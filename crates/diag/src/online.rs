@@ -5,9 +5,17 @@
 //! observation — diagnosing a growing trace of `N` records this way costs
 //! `O(N² · edges)`. [`OnlineLocalizer`] keeps only the *frontier* of that
 //! table — one dense column of path mass per product state — and advances
-//! it by one column per record, so a live stream is localized in
-//! `O(edges)` amortized per message while staying bit-identical to
+//! it by one column per record while staying bit-identical to
 //! [`consistent_paths`] on every prefix of the observation.
+//!
+//! One cost rule holds in every mode: a push is one `O(states + edges)`
+//! sweep while the frontier is live (Substring adds a bounded recompute,
+//! below) and `O(1)` once it is empty. Every mode's sweep maps an all-zero
+//! column to an all-zero column with a count of 0, so a dead push only
+//! counts the record until [`resync`](OnlineLocalizer::resync) or
+//! [`restore`](OnlineLocalizer::restore) revives the column. Liveness is
+//! recomputed wherever the column is written (sweep, seed, restore), so a
+//! checkpoint stays one column plus counters.
 //!
 //! How each [`MatchMode`] is incrementalized:
 //!
@@ -31,14 +39,14 @@
 //! * **Substring** — counting *paths* (not occurrences) that contain the
 //!   observation needs leftmost-occurrence disambiguation, which no fixed
 //!   per-state frontier survives when the pattern grows. The localizer
-//!   instead exploits monotonicity: the consistent set only shrinks as
-//!   the observation grows, so once the count reaches zero every later
-//!   push is `O(1)`; while it is nonzero the batch automaton DP is re-run
-//!   on the stored observation, whose useful length is bounded by the
-//!   longest projection any path can produce — a property of the flow,
-//!   not of the trace. Amortized over a long stream the per-message cost
-//!   is `O(edges)`. The end-anchored column is still maintained as the
-//!   live occurrence frontier.
+//!   instead re-runs the batch automaton DP on the stored observation
+//!   while the frontier is live; the useful length of that observation is
+//!   bounded by the longest projection any path can produce — a property
+//!   of the flow, not of the trace. The end-anchored column is maintained
+//!   as the live occurrence frontier, and it decides liveness: no path
+//!   contains an observation that no walk ends with. Once it empties, the
+//!   observation stops growing and pushes are `O(1)` like in every other
+//!   mode.
 //!
 //! Counts use the same saturating `u128` arithmetic as the batch DP;
 //! prefix equality is exact whenever no intermediate count saturates
@@ -165,6 +173,8 @@ pub struct OnlineLocalizer {
     column: Frontier,
     /// Scratch buffer for the next column (kept to avoid reallocation).
     scratch: Vec<u128>,
+    /// Whether the column carries any mass; a push while dead is `O(1)`.
+    live: bool,
     consistent: u128,
     total: u128,
     pushed: usize,
@@ -253,6 +263,7 @@ impl OnlineLocalizer {
             to_stop,
             column: Frontier { values: vec![0; n] },
             scratch: vec![0; n],
+            live: false,
             consistent: 0,
             total,
             pushed: 0,
@@ -297,6 +308,7 @@ impl OnlineLocalizer {
                 }
             }
         }
+        self.live = self.column.support() != 0;
         self.consistent = match self.mode {
             MatchMode::Exact => self.stop_mass(),
             // Every path starts with / ends with / contains ε.
@@ -316,6 +328,7 @@ impl OnlineLocalizer {
     /// inflow of each state weighted by its unrestricted continuation.
     fn advance(&mut self, m: IndexedMessage) -> u128 {
         let mut dot = 0u128;
+        let mut any = 0u128;
         for &u in &self.topo {
             let s = u as usize;
             let mut matched = 0u128;
@@ -330,38 +343,32 @@ impl OnlineLocalizer {
                 acc = acc.saturating_add(self.scratch[src as usize]);
             }
             self.scratch[s] = acc;
+            any |= acc;
         }
         std::mem::swap(&mut self.column.values, &mut self.scratch);
+        self.live = any != 0;
         dot
     }
 
-    /// Folds one observed record into the localization.
+    /// Folds one observed record into the localization: one sweep while
+    /// the frontier is live, `O(1)` once it is empty (see the module docs).
     pub fn push(&mut self, m: IndexedMessage) {
-        match self.mode {
-            MatchMode::Exact => {
-                self.advance(m);
-                self.consistent = self.stop_mass();
-            }
-            MatchMode::Prefix => {
-                self.consistent = self.advance(m);
-            }
-            MatchMode::Suffix => {
-                self.advance(m);
-                self.consistent = self.stop_mass();
-            }
-            MatchMode::Substring => {
-                self.advance(m);
-                self.observed.push(m);
-                // Monotone: once no path contains the observation, no
-                // extension can match — every further push is O(1).
-                if self.consistent != 0 {
-                    let flow = self.flow.as_ref().expect("substring mode keeps the flow");
-                    self.consistent =
-                        consistent_paths(flow, &self.observed, &self.selected, self.mode);
-                }
-            }
-        }
         self.pushed += 1;
+        if !self.live {
+            return;
+        }
+        let dot = self.advance(m);
+        self.consistent = match self.mode {
+            MatchMode::Exact | MatchMode::Suffix => self.stop_mass(),
+            MatchMode::Prefix => dot,
+            // No path contains an observation that no walk ends with.
+            MatchMode::Substring if !self.live => 0,
+            MatchMode::Substring => {
+                self.observed.push(m);
+                let flow = self.flow.as_ref().expect("substring mode keeps the flow");
+                consistent_paths(flow, &self.observed, &self.selected, self.mode)
+            }
+        };
     }
 
     /// Folds a sequence of records in order.
@@ -443,6 +450,7 @@ impl OnlineLocalizer {
             "checkpoint belongs to a different flow"
         );
         self.column.values.clone_from(&checkpoint.column);
+        self.live = self.column.support() != 0;
         self.consistent = checkpoint.consistent;
         self.pushed = checkpoint.pushed;
         self.observed.clone_from(&checkpoint.observed);
@@ -716,6 +724,71 @@ mod tests {
                     "{mode:?} after restore"
                 );
             }
+
+            // Checkpoint while live, push until the frontier empties, and
+            // restore: the revived localizer tracks batch again.
+            let poison = IndexedMessage::new(selected[0], FlowIndex(99));
+            let mut online = OnlineLocalizer::new(&u, &selected, mode);
+            online.push(observed[0]);
+            let live = online.checkpoint();
+            let mut killed = observed[..1].to_vec();
+            while online.frontier().support() != 0 {
+                online.push(poison);
+                killed.push(poison);
+            }
+            assert_eq!(
+                online.consistent(),
+                consistent_paths(&u, &killed, &selected, mode),
+                "{mode:?} dead"
+            );
+            online.restore(&live);
+            assert!(online.frontier().support() > 0, "{mode:?}");
+            assert_eq!(
+                online.consistent(),
+                consistent_paths(&u, &observed[..1], &selected, mode),
+                "{mode:?} restored live"
+            );
+            for (n, &m) in observed.iter().enumerate().skip(1) {
+                online.push(m);
+                assert_eq!(
+                    online.consistent(),
+                    consistent_paths(&u, &observed[..=n], &selected, mode),
+                    "{mode:?} after restoring a live checkpoint, {} records",
+                    n + 1
+                );
+            }
+
+            // Restoring a checkpoint taken while dead keeps it dead.
+            let mut dead = OnlineLocalizer::new(&u, &selected, mode);
+            dead.push(poison);
+            let dead_ckpt = dead.checkpoint();
+            online.restore(&dead_ckpt);
+            assert_eq!(online.consistent(), 0, "{mode:?}");
+            assert_eq!(online.frontier().support(), 0, "{mode:?}");
+            online.push_all(observed.iter().copied());
+            assert_eq!(online.consistent(), 0, "{mode:?} stays dead");
+            assert_eq!(online.frontier().support(), 0, "{mode:?} stays dead");
+            assert_eq!(online.pushed(), 1 + observed.len());
+
+            // A resync after a long dead stream re-narrows like a fresh
+            // localizer.
+            for _ in 0..1000 {
+                online.push(observed[0]);
+            }
+            assert_eq!(online.consistent(), 0, "{mode:?}");
+            // A dead stream stores no observation for checkpoints to clone.
+            assert!(online.checkpoint().observed.is_empty(), "{mode:?}");
+            online.resync();
+            let mut fresh = OnlineLocalizer::new(&u, &selected, mode);
+            assert_eq!(online.frontier(), fresh.frontier(), "{mode:?} reseeded");
+            for &m in &observed {
+                online.push(m);
+                fresh.push(m);
+                assert_eq!(online.consistent(), fresh.consistent(), "{mode:?}");
+                assert_eq!(online.frontier(), fresh.frontier(), "{mode:?}");
+            }
+            assert!(online.consistent() > 0, "{mode:?} re-narrowed");
+            assert_eq!(online.pushed(), 1001 + 2 * observed.len());
         }
     }
 

@@ -8,7 +8,7 @@ use pstrace_diag::{
 };
 use pstrace_flow::{
     examples::{cache_coherence, diamond},
-    executions, instantiate, path_count, InterleavedFlow, MessageId,
+    executions, instantiate, path_count, FlowIndex, IndexedMessage, InterleavedFlow, MessageId,
 };
 
 fn product() -> InterleavedFlow {
@@ -116,7 +116,9 @@ proptest! {
     /// Feeding an observation to [`OnlineLocalizer`] one record at a time
     /// reports, after every push, exactly what batch localization computes
     /// on that prefix — for all four match modes, on observations that mix
-    /// real projections with random noise records.
+    /// real projections with random noise records. A checkpoint taken at a
+    /// random position and restored after the frontier died must bring the
+    /// localizer back to life.
     #[test]
     fn online_localizer_matches_batch_at_every_prefix(
         branching in any::<bool>(),
@@ -124,6 +126,7 @@ proptest! {
         pick in proptest::collection::vec(any::<bool>(), 4),
         noise in proptest::collection::vec((0usize..12, any::<bool>()), 0..4),
         mode_idx in 0usize..4,
+        ckpt_at in 0usize..8,
     ) {
         let u = if branching { branching_product() } else { product() };
         let alphabet = u.message_alphabet();
@@ -155,6 +158,8 @@ proptest! {
             consistent_paths(&u, &[], &selected, mode),
             "empty-observation seed diverged ({:?})", mode
         );
+        let at = ckpt_at % (observed.len() + 1);
+        let mut ckpt = online.checkpoint();
         for (n, &m) in observed.iter().enumerate() {
             online.push(m);
             let batch = consistent_paths(&u, &observed[..=n], &selected, mode);
@@ -163,7 +168,25 @@ proptest! {
                 "prefix of {} records diverged ({:?})", n + 1, mode
             );
             prop_assert_eq!(online.total(), path_count(&u));
+            if n + 1 == at {
+                ckpt = online.checkpoint();
+            }
         }
+        // No edge carries this flow index, so it empties the frontier.
+        let poison = IndexedMessage::new(alphabet[0], FlowIndex(99));
+        online.push(poison);
+        prop_assert_eq!(online.frontier().support(), 0);
+        online.restore(&ckpt);
+        observed.push(poison);
+        for n in at..observed.len() {
+            online.push(observed[n]);
+            let batch = consistent_paths(&u, &observed[..=n], &selected, mode);
+            prop_assert_eq!(
+                online.consistent(), batch,
+                "prefix of {} records diverged after restoring at {} ({:?})", n + 1, at, mode
+            );
+        }
+        prop_assert_eq!(online.frontier().support(), 0);
     }
 
     /// Growing the selection never makes localization worse for the same

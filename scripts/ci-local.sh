@@ -36,9 +36,13 @@ run cargo bench --no-run --locked --workspace
 # Ingest benchmark smoke: ingestbench is its own package (not a workspace
 # member), so build it against the library crates here. It exits nonzero
 # on any report mismatch or failed session; --locked fails a change that
-# would need its lockfile refreshed.
+# would need its lockfile refreshed. `captures` is the wait-bound
+# workload of short sessions; `trace-port` is the compute-bound one of
+# long streams, and its second client sends .ptw v2 through the daemon.
 run cargo run --release --quiet --offline --locked --manifest-path ingestbench/Cargo.toml -- \
     --workload captures --seed 1 --seconds 2 --trace 0
+run cargo run --release --quiet --offline --locked --manifest-path ingestbench/Cargo.toml -- \
+    --workload trace-port --seed 1 --seconds 2 --trace 0
 
 # v2 dialect smoke: the compressed-profile round-trip and corruption
 # proptests (codec crate), plus the v2 cases of the acceptance suites —
