@@ -17,6 +17,8 @@ use std::time::Duration;
 
 use pstrace_obs::{merged_samples, render_prometheus_samples, Registry};
 
+use crate::poll::{accept_until, wake_acceptor};
+
 /// A running scrape endpoint: one listener thread answering HTTP GETs
 /// with the registry's Prometheus exposition.
 #[derive(Debug)]
@@ -41,23 +43,21 @@ impl MetricsEndpoint {
     ) -> io::Result<MetricsEndpoint> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept so the loop can poll the shutdown flag.
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
+        // Blocking accept, woken by a self-connect in `stop`; a failing
+        // accept(2) is retried under back-off, never fatal.
         let handle = {
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = answer(stream, &registries);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => return,
-                    }
-                }
+                accept_until(
+                    listener,
+                    &shutdown,
+                    || {},
+                    |stream| {
+                        let _ = answer(stream, &registries);
+                        true
+                    },
+                );
             })
         };
         Ok(MetricsEndpoint {
@@ -79,7 +79,9 @@ impl MetricsEndpoint {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            wake_acceptor(self.addr);
+        }
         if let Some(h) = self.listener.take() {
             let _ = h.join();
         }

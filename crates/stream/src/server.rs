@@ -57,6 +57,7 @@ use pstrace_obs::{
 use pstrace_soc::{SocModel, UsageScenario};
 
 use crate::error::StreamError;
+use crate::poll::accept_until;
 use crate::recover::{recover_state, RecoveredState};
 use crate::shard::{run_shard, FleetCtx, ShardMsg, TenantGovernor};
 use crate::wal::{fresh_epoch, mint_epoch, DurabilityPolicy};
@@ -175,7 +176,6 @@ pub(crate) fn degrade(registry: &Registry, path: &str) {
 /// A running daemon: accept thread plus shard event loops.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
     ctx: Arc<FleetCtx>,
     accept: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
@@ -213,8 +213,6 @@ impl Server {
                 io::Error::new(io::ErrorKind::InvalidInput, "empty bind address")
             })?)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept so the loop can poll the shutdown flag.
-        listener.set_nonblocking(true)?;
 
         let shard_count = config.shards.max(1);
         let mut registries = Vec::with_capacity(shard_count + 1);
@@ -272,6 +270,7 @@ impl Server {
         });
 
         let ctx = Arc::new(FleetCtx {
+            addr,
             governor: TenantGovernor::new(Arc::clone(&registry)),
             config,
             model,
@@ -313,48 +312,33 @@ impl Server {
             })
             .collect();
 
+        // Blocking accept: a connect is served the moment it lands, and
+        // `FleetCtx::begin_shutdown` wakes the loop with a self-connect.
         let accept = {
             let ctx = Arc::clone(&ctx);
-            let registry = Arc::clone(&registry);
             std::thread::spawn(move || {
-                // A failing accept(2) (EMFILE, ECONNABORTED, …) is
-                // retried under capped exponential backoff, never fatal:
-                // the daemon must outlive transient resource pressure.
-                let initial = Duration::from_millis(5);
-                let cap = Duration::from_secs(1);
-                let mut backoff = initial;
                 let mut conn_id: u64 = 0;
-                while !ctx.shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = initial;
-                            // Pin by connection id: the shard owns this
-                            // socket for its whole life.
-                            let shard = (conn_id % ctx.senders.len() as u64) as usize;
-                            conn_id += 1;
-                            if ctx.senders[shard].send(ShardMsg::Conn(stream)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(initial);
-                        }
-                        Err(_) => {
-                            registry
-                                .counter("pstrace_stream_accept_retries_total")
-                                .inc();
-                            degrade(&registry, "accept-retry");
-                            ctx.degrade_flight(0, 0, 0, "accept-retry");
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(cap);
-                        }
-                    }
-                }
+                accept_until(
+                    listener,
+                    &ctx.shutdown,
+                    || {
+                        let root = &ctx.registries[0];
+                        root.counter("pstrace_stream_accept_retries_total").inc();
+                        degrade(root, "accept-retry");
+                        ctx.degrade_flight(0, 0, 0, "accept-retry");
+                    },
+                    |stream| {
+                        // Pin by connection id: the shard owns this
+                        // socket for its whole life.
+                        let shard = (conn_id % ctx.senders.len() as u64) as usize;
+                        conn_id += 1;
+                        ctx.senders[shard].send(ShardMsg::Conn(stream)).is_ok()
+                    },
+                );
             })
         };
 
         Ok(Server {
-            addr,
             ctx,
             accept: Some(accept),
             shards,
@@ -364,7 +348,7 @@ impl Server {
     /// The bound address (with the ephemeral port resolved).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.addr
     }
 
     /// Replays the checkpoints and WALs under `wal_dir` for a daemon of
@@ -454,11 +438,7 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-            // One Shutdown event total, whoever initiated the drain (the
-            // SHUTDOWN verb handler uses the same swap).
-            self.ctx.flight.record(0, 0, 0, EventKind::Shutdown, "");
-        }
+        self.ctx.begin_shutdown();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }

@@ -23,7 +23,7 @@
 //! accept-order the reconnect storm produces.
 
 use std::collections::HashMap;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -40,7 +40,7 @@ use pstrace_soc::SocModel;
 use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
-use crate::poll::{read_once, write_once, Backoff, Progress, Readiness};
+use crate::poll::{read_once, wake_acceptor, write_once, Backoff, Progress, Readiness};
 use crate::proto::{self, Chunk, Request};
 use crate::server::{degrade, scenario_by_number, ServerConfig};
 use crate::session::Session;
@@ -68,6 +68,9 @@ pub(crate) enum ShardMsg {
 /// Everything shared between the accept thread and every shard.
 #[derive(Debug)]
 pub(crate) struct FleetCtx {
+    /// The listener's bound address (ephemeral port resolved) — where
+    /// [`FleetCtx::begin_shutdown`] self-connects to wake the acceptor.
+    pub addr: SocketAddr,
     /// The daemon's knobs as spawned; `wal_dir` is `None` when
     /// durability is off.
     pub config: ServerConfig,
@@ -78,7 +81,8 @@ pub(crate) struct FleetCtx {
     pub senders: Vec<Sender<ShardMsg>>,
     /// Global session-id sequence (ids start at 1, shard-agnostic).
     pub session_seq: AtomicU64,
-    /// Set to stop accepting and drain the shards.
+    /// Set to stop accepting and drain the shards — only through
+    /// [`FleetCtx::begin_shutdown`].
     pub shutdown: AtomicBool,
     /// Set (alongside `shutdown`) when a client's SHUTDOWN verb — rather
     /// than the owning process — asked for the drain.
@@ -102,6 +106,16 @@ pub(crate) struct FleetCtx {
 const FLIGHT_SPILL_DEBOUNCE_NS: u64 = 200_000_000;
 
 impl FleetCtx {
+    /// Starts the drain, once, whoever asks (`Server::stop` or the
+    /// SHUTDOWN verb): sets `shutdown`, journals the one `Shutdown`
+    /// event and wakes the acceptor blocked in `accept(2)`.
+    pub(crate) fn begin_shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.flight.record(0, 0, 0, EventKind::Shutdown, "");
+            wake_acceptor(self.addr);
+        }
+    }
+
     /// The merged Prometheus exposition across the root and every shard
     /// registry — what the METRICS verb and the scrape endpoint serve.
     pub(crate) fn exposition(&self) -> String {
@@ -328,8 +342,12 @@ struct Conn {
     peer_gone: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, inbuf: Vec<u8>) -> Conn {
+impl From<ShardMsg> for Conn {
+    fn from(msg: ShardMsg) -> Conn {
+        let (stream, inbuf) = match msg {
+            ShardMsg::Conn(stream) => (stream, Vec::new()),
+            ShardMsg::Handoff(stream, inbuf) => (stream, inbuf),
+        };
         let now = Instant::now();
         stream.set_nonblocking(true).ok();
         stream.set_nodelay(true).ok();
@@ -344,7 +362,9 @@ impl Conn {
             peer_gone: false,
         }
     }
+}
 
+impl Conn {
     /// Queues a reply for the flush pass.
     fn reply(&mut self, ok: bool, text: &str) {
         let _ = proto::write_reply(&mut self.outbox, ok, text);
@@ -787,9 +807,7 @@ impl Shard {
                 conn.reply(true, "shutting down: draining shards");
                 conn.phase = Phase::Closing;
                 self.ctx.shutdown_requested.store(true, Ordering::SeqCst);
-                if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-                    self.note(0, 0, EventKind::Shutdown, "");
-                }
+                self.ctx.begin_shutdown();
                 Verdict::Keep
             }
             Request::Session(hello) => {
@@ -1024,10 +1042,7 @@ pub(crate) fn run_shard(
 
         // Inbox: new sockets and handoffs.
         while let Ok(msg) = inbox.try_recv() {
-            conns.push(match msg {
-                ShardMsg::Conn(stream) => Conn::new(stream, Vec::new()),
-                ShardMsg::Handoff(stream, inbuf) => Conn::new(stream, inbuf),
-            });
+            conns.push(Conn::from(msg));
             moved = true;
         }
 
@@ -1105,8 +1120,9 @@ pub(crate) fn run_shard(
 
         if moved {
             backoff.note_progress();
-        } else {
-            backoff.idle_wait();
+        } else if let Some(msg) = backoff.idle_wait(inbox) {
+            // A new socket or a handoff ended the idle park.
+            conns.push(Conn::from(msg));
         }
     }
 }

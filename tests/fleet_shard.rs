@@ -1,11 +1,12 @@
 //! Fleet-ingest contracts of the sharded event-loop daemon: session
 //! pinning across reconnects (with cross-shard handoff), deterministic
 //! tenant-quota shedding, per-shard registry merge parity with a
-//! single-registry run, graceful SHUTDOWN-verb drain, and a session
-//! ledger that balances over every way a stream can end.
+//! single-registry run, graceful SHUTDOWN-verb drain, prompt shutdown
+//! of idle listeners blocked in `accept(2)`, and a session ledger that
+//! balances over every way a stream can end.
 
-use std::io::Write as _;
-use std::net::TcpStream;
+use std::io::{Read as _, Write as _};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,8 @@ use pstrace::obs::{MetricKey, Sample};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::{
-    proto, request_shutdown, stream_ptw, Server, ServerConfig, StatsSnapshot, StreamError,
+    fetch_metrics, proto, request_shutdown, stream_ptw, MetricsEndpoint, Server, ServerConfig,
+    StatsSnapshot, StreamError,
 };
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
@@ -361,6 +363,84 @@ fn shutdown_verb_drains_the_daemon_and_frees_the_port() {
     let snap = server.shutdown();
     assert_eq!(snap.completed, 1);
     assert_eq!(snap.worker_panics, 0);
+}
+
+fn loopback(port: u16) -> SocketAddr {
+    SocketAddr::from((Ipv4Addr::LOCALHOST, port))
+}
+
+/// Whether a loopback connect to `port` is refused — the listener that
+/// held it is closed.
+fn refused(port: u16) -> bool {
+    matches!(
+        TcpStream::connect_timeout(&loopback(port), Duration::from_secs(1)),
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused
+    )
+}
+
+/// A daemon bound to `addr` that has served one METRICS request and is
+/// idle again, so its acceptor is past its first flag check and back in
+/// `accept(2)`. Returns it with its port.
+fn idle_server(addr: &str) -> (Server, u16) {
+    let server = Server::spawn(
+        Arc::new(SocModel::t2()),
+        &ServerConfig {
+            addr: addr.to_owned(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let port = server.local_addr().port();
+    fetch_metrics(loopback(port)).unwrap();
+    (server, port)
+}
+
+// The acceptors block in accept(2); only the self-connect in their stop
+// path ends that wait. A lost wake hangs the join, which the watchdog
+// turns into a named failure instead of a stuck test run.
+
+#[test]
+fn idle_server_on_an_unspecified_address_shuts_down_and_frees_the_port() {
+    let _guard = watchdog(Duration::from_secs(10), "idle 0.0.0.0 server shutdown");
+    let (server, port) = idle_server("0.0.0.0:0");
+    let snap = server.shutdown();
+    assert_eq!(snap.sessions, 0);
+    assert!(refused(port), "port {port} still accepts after shutdown");
+}
+
+#[test]
+fn idle_server_dropped_without_shutdown_joins() {
+    let _guard = watchdog(Duration::from_secs(10), "idle server drop");
+    let (server, port) = idle_server("127.0.0.1:0");
+    drop(server);
+    assert!(refused(port), "port {port} still accepts after drop");
+}
+
+#[test]
+fn shutdown_verb_wakes_an_idle_acceptor() {
+    let _guard = watchdog(Duration::from_secs(10), "SHUTDOWN verb wake");
+    let (server, port) = idle_server("127.0.0.1:0");
+    request_shutdown(loopback(port)).unwrap();
+    // No probe connect here: only the verb's own wake can end the
+    // acceptor's accept(2) before the join below.
+    let snap = server.shutdown();
+    assert_eq!(snap.sessions, 0);
+    assert!(refused(port), "port {port} still accepts after SHUTDOWN");
+}
+
+#[test]
+fn idle_metrics_endpoint_shuts_down_and_frees_the_port() {
+    let _guard = watchdog(Duration::from_secs(10), "idle metrics endpoint shutdown");
+    let endpoint = MetricsEndpoint::spawn("0.0.0.0:0", Vec::new()).unwrap();
+    let port = endpoint.local_addr().port();
+    // One scrape served on the accept thread: it is back in accept(2).
+    let mut scrape = TcpStream::connect(loopback(port)).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    scrape.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+    endpoint.shutdown();
+    assert!(refused(port), "port {port} still accepts after shutdown");
 }
 
 /// Opens a fresh resumable session for `tenant`, sends the first half of
